@@ -301,9 +301,8 @@ constexpr const char* kUsage =
     "  --threads T       worker threads for sweeps and sharded engines\n"
     "                    (default: hardware concurrency)\n"
     "  --backend B       engine backend for engine-driving scenarios:\n"
-    "                    auto (density/size-based), scalar, bit, sharded,\n"
-    "                    or hybrid\n"
-    "                    (default auto)\n"
+    "                    auto (density/size-based), scalar, bit, or\n"
+    "                    sharded (default auto)\n"
     "  --dispatch D      protocol-dispatch strategy for engine-driving\n"
     "                    scenarios: auto (active-set iff protocols hint),\n"
     "                    scan, or active (default auto)\n"

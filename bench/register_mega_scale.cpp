@@ -1,5 +1,5 @@
 // Macro-bench P5 — the million-node regime: streaming construction, parallel
-// labeling, parallel square coloring, and a hybrid-backend broadcast on a
+// labeling, parallel square coloring, and a scalar-backend broadcast on a
 // sparse G(n, p) with average degree 8.  Families:
 //  - mega/build: sparse_gnp_connected via geometric-skip sampling + sorted
 //    runs (never materializes more than O(m)); ok iff connected-sized CSR.
@@ -8,8 +8,8 @@
 //    acceptance row (t8, n >= 10^6) must be >= 3x faster than t1 — asserted
 //    only when the host has >= 8 hardware threads (recorded otherwise).
 //  - mega/color/tN (N in 1,8): square_coloring equality across thread counts.
-//  - mega/broadcast: run_broadcast under kAuto (hybrid backend at this
-//    scale); ok iff all informed within the 2n-3 bound.
+//  - mega/broadcast: run_broadcast under kAuto (the scalar walk past the
+//    bitmap cap); ok iff all informed within the 2n-3 bound.
 // Wall budgets are per-node linear envelopes (~5x a 1-core measurement), so
 // the scenario is a completes-within-budget gate at any ladder size.
 // Sizes below 100000 are raised to 100000: this scenario only measures the
@@ -136,7 +136,7 @@ void run(Context& ctx) {
       ctx.record(std::move(s));
     }
 
-    // --- mega/broadcast: end-to-end under kAuto (hybrid at this scale) --
+    // --- mega/broadcast: end-to-end under kAuto (scalar at this scale) --
     {
       core::BroadcastRun run;
       core::RunOptions opt;
@@ -161,7 +161,7 @@ void run(Context& ctx) {
 
 const bool registered = register_scenario(
     {"mega_scale",
-     "million-node regime: streamed build, parallel labeling, hybrid "
+     "million-node regime: streamed build, parallel labeling, scalar "
      "broadcast",
      {"scaling"},
      &run});

@@ -489,6 +489,8 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
 
   bool phase3_scheduled = false;
   std::uint64_t phase2_start = 0, phase3_start = 0, source_ack_round = 0;
+  // Engine-level first-data accounting, as in CompiledAckRunner.
+  std::vector<std::uint8_t> engine_has_data(n, 0);
 
   RoundAgenda agenda(max_rounds);
   ExecutionBuilder builder;
@@ -625,7 +627,12 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
 
     backend_->resolve(tx, /*want_collisions=*/false, res);
     for (const auto& [w, tx_index] : res.deliveries) {
-      hear(w, builder.message_at(tx_index), r);
+      const Message& m = builder.message_at(tx_index);
+      if (m.kind == MsgKind::kData && !engine_has_data[w]) {
+        engine_has_data[w] = 1;
+        prediction_.completion_round = r;
+      }
+      hear(w, m, r);
     }
     if (count_mu == n && count_done == n) break;  // run_arbitrary predicate
   }

@@ -170,10 +170,11 @@ class CompiledAckRunner {
 /// Compile-time prediction of the quantities `run_arbitrary` reads off the
 /// engine (§4 observables).
 struct ArbPrediction {
-  bool ok = false;                 ///< all nodes learned µ, agree on done
-  std::uint64_t total_rounds = 0;  ///< engine rounds until quiescence
-  std::uint64_t done_round = 0;    ///< the common completion round
-  std::uint64_t T = 0;             ///< phase-1 duration learned by r
+  bool ok = false;                     ///< all nodes learned µ, agree on done
+  std::uint64_t total_rounds = 0;      ///< engine rounds until quiescence
+  std::uint64_t completion_round = 0;  ///< last first-kData reception
+  std::uint64_t done_round = 0;        ///< the common completion round
+  std::uint64_t T = 0;                 ///< phase-1 duration learned by r
   NodeId coordinator = graph::kNoNode;
 };
 

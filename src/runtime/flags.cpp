@@ -15,8 +15,8 @@ FlagOutcome error(std::string message) {
 }  // namespace
 
 std::string backend_flag_values(bool allow_compiled) {
-  return allow_compiled ? "auto, scalar, bit, sharded, hybrid, or compiled"
-                        : "auto, scalar, bit, sharded, or hybrid";
+  return allow_compiled ? "auto, scalar, bit, sharded, or compiled"
+                        : "auto, scalar, bit, or sharded";
 }
 
 std::string dispatch_flag_values() { return "auto, scan, or active"; }

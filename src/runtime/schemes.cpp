@@ -774,6 +774,9 @@ class ArbScheme final : public Scheme {
 
   bool done(const sim::Engine& e, NodeId,
             const SchemeOptions&) const override {
+    // ArbProtocol::informed() is "knows µ", the first conjunct below, so
+    // the engine's amortized O(1) check rejects most rounds exactly.
+    if (!e.all_informed()) return false;
     for (NodeId v = 0; v < e.graph().node_count(); ++v) {
       const auto& p = dynamic_cast<const core::ArbProtocol&>(e.protocol(v));
       if (!p.mu() || p.done_round() == 0) return false;

@@ -14,7 +14,6 @@ const char* to_string(BackendKind k) {
     case BackendKind::kScalar: return "scalar";
     case BackendKind::kBit: return "bit";
     case BackendKind::kSharded: return "sharded";
-    case BackendKind::kHybrid: return "hybrid";
   }
   return "?";
 }
@@ -24,7 +23,6 @@ std::optional<BackendKind> parse_backend(std::string_view name) {
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "bit") return BackendKind::kBit;
   if (name == "sharded") return BackendKind::kSharded;
-  if (name == "hybrid") return BackendKind::kHybrid;
   return std::nullopt;
 }
 
@@ -42,6 +40,7 @@ ScalarEngine::ScalarEngine(const graph::Graph& g) : graph_(g) {
   tx_neighbor_count_.assign(n, 0);
   unique_tx_index_.assign(n, 0);
   transmitting_.assign(n, 0);
+  touched_bits_.assign(graph::BitAdjacency::words_for(n), 0);
 }
 
 void ScalarEngine::resolve(std::span<const NodeId> transmitters,
@@ -51,30 +50,42 @@ void ScalarEngine::resolve(std::span<const NodeId> transmitters,
 
   for (const NodeId t : transmitters) transmitting_[t] = 1;
 
-  touched_.clear();
+  // First touch of a listener sets its bit; first touch of its word records
+  // the word, so extraction visits this round's footprint only.
+  touched_words_.clear();
   for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
     for (const NodeId w : graph_.neighbors(transmitters[i])) {
       if (tx_neighbor_count_[w] == 0) {
-        touched_.push_back(w);
         unique_tx_index_[w] = i;
+        const std::uint32_t word = w >> 6;
+        if (touched_bits_[word] == 0) touched_words_.push_back(word);
+        touched_bits_[word] |= std::uint64_t{1} << (w & 63);
       }
       ++tx_neighbor_count_[w];
     }
   }
 
-  // Canonical listener order, so traces are identical across backends.
-  std::sort(touched_.begin(), touched_.end());
-  for (const NodeId w : touched_) {
-    if (transmitting_[w]) continue;  // a transmitting node never hears
-    if (tx_neighbor_count_[w] == 1) {
-      out.deliveries.emplace_back(w, unique_tx_index_[w]);
-    } else if (want_collisions) {
-      out.collisions.push_back(w);
+  // Canonical listener order, so traces are identical across backends:
+  // ascending words, ascending bits within each.  Scratch for the touched
+  // listeners is reset on the way.
+  std::sort(touched_words_.begin(), touched_words_.end());
+  for (const std::uint32_t word : touched_words_) {
+    std::uint64_t bits = touched_bits_[word];
+    touched_bits_[word] = 0;
+    while (bits) {
+      const auto w = static_cast<NodeId>((word << 6) + std::countr_zero(bits));
+      bits &= bits - 1;
+      const std::uint32_t count = tx_neighbor_count_[w];
+      tx_neighbor_count_[w] = 0;
+      if (transmitting_[w]) continue;  // a transmitting node never hears
+      if (count == 1) {
+        out.deliveries.emplace_back(w, unique_tx_index_[w]);
+      } else if (want_collisions) {
+        out.collisions.push_back(w);
+      }
     }
   }
 
-  // Reset scratch for this round's touched nodes only.
-  for (const NodeId w : touched_) tx_neighbor_count_[w] = 0;
   for (const NodeId t : transmitters) transmitting_[t] = 0;
 }
 
@@ -291,226 +302,6 @@ void ShardedBitEngine::resolve(std::span<const NodeId> transmitters,
 }
 
 // ---------------------------------------------------------------------------
-// HybridEngine
-
-HybridEngine::HybridEngine(const graph::Graph& g, std::size_t threads)
-    : kernels_(&simd::active_kernels()),
-      graph_(g),
-      words_(graph::BitAdjacency::words_for(g.node_count())),
-      pool_(resolve_thread_count(threads)) {
-  const auto n = g.node_count();
-  once_.assign(words_, 0);
-  twice_.assign(words_, 0);
-  tx_mask_.assign(words_, 0);
-  heard_.assign(words_, 0);
-  unique_tx_index_.assign(n, 0);
-
-  // Two shards per worker (load balance against transmitter clustering),
-  // cache-line aligned so no two workers store to the same 64-byte line of
-  // the shared accumulators.  Shards are contiguous and cover every word.
-  const std::size_t lines = (words_ + kLineWords - 1) / kLineWords;
-  const std::size_t target =
-      std::max<std::size_t>(1, std::min(pool_.thread_count() * 2, lines));
-  std::size_t chunk = (words_ + target - 1) / target;
-  chunk = ((chunk + kLineWords - 1) / kLineWords) * kLineWords;
-  for (std::size_t w = 0; w < words_; w += chunk) {
-    Shard s;
-    s.begin_word = w;
-    s.end_word = std::min(words_, w + chunk);
-    s.begin_node = static_cast<NodeId>(s.begin_word * 64);
-    s.end_node = static_cast<NodeId>(
-        std::min<std::size_t>(n, s.end_word * 64));
-    shards_.push_back(std::move(s));
-  }
-
-  // Dense (row, shard) slices in deterministic (row asc, shard asc) greedy
-  // order under the global budget: a slice pays once the row's neighbour
-  // count inside the shard clears kHybridDenseNeighborsPerWord per word.
-  // Admission pass: record ids and arena offsets only, so all slices land
-  // packed in one huge-page-advised arena instead of per-shard vectors.
-  std::size_t budget_words = kHybridDenseBudgetBytes / sizeof(std::uint64_t);
-  for (NodeId v = 0; v < n && budget_words > 0; ++v) {
-    const auto nb = g.neighbors(v);
-    auto it = nb.begin();
-    for (auto& s : shards_) {
-      if (it == nb.end() || budget_words == 0) break;
-      const auto hi = std::lower_bound(it, nb.end(), s.end_node);
-      const auto count = static_cast<std::size_t>(hi - it);
-      const std::size_t width = s.end_word - s.begin_word;
-      if (count >= kHybridDenseNeighborsPerWord * width &&
-          width <= budget_words) {
-        s.dense_ids.push_back(v);
-        s.dense_offsets.push_back(dense_words_);
-        budget_words -= width;
-        dense_words_ += width;
-      }
-      it = hi;
-    }
-  }
-
-  // Fill pass: one zero-initialized arena allocation, each admitted slice
-  // rebuilt from the row's CSR range inside its shard's node window.
-  dense_arena_ = support::HugeWords(dense_words_);
-  for (auto& s : shards_) {
-    for (std::size_t i = 0; i < s.dense_ids.size(); ++i) {
-      const auto nb = g.neighbors(s.dense_ids[i]);
-      const auto lo = std::lower_bound(nb.begin(), nb.end(), s.begin_node);
-      const auto hi = std::lower_bound(lo, nb.end(), s.end_node);
-      auto* slice = dense_arena_.data() + s.dense_offsets[i];
-      for (auto p = lo; p != hi; ++p) {
-        slice[(*p >> 6) - s.begin_word] |= std::uint64_t{1} << (*p & 63);
-      }
-    }
-  }
-}
-
-void HybridEngine::resolve_shard(Shard& shard,
-                                 std::span<const NodeId> transmitters,
-                                 bool want_collisions) {
-  shard.local.clear();
-  shard.touched.clear();
-  shard.round_dense.clear();
-  shard.whole_range = false;
-
-  // Accumulate.  Saturating per-bit semantics match the once/twice word
-  // fold exactly, so mixing dense slices and scalar scatter is
-  // order-independent: once = ">= 1 transmitting neighbour", twice = ">= 2".
-  // Dense slices go through the same simd kernel entry points as the
-  // dense/sharded backends (the accumulators are all-zero between rounds,
-  // so the generic fold doubles as the first-row case); per-bit scatter
-  // stays scalar — it is bit-addressed, not word-addressed.
-  for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
-    const NodeId t = transmitters[i];
-    if (!shard.dense_ids.empty()) {
-      const auto it = std::lower_bound(shard.dense_ids.begin(),
-                                       shard.dense_ids.end(), t);
-      if (it != shard.dense_ids.end() && *it == t) {
-        const auto* row =
-            dense_arena_.data() +
-            shard.dense_offsets[it - shard.dense_ids.begin()];
-        kernels_->accumulate(once_.data() + shard.begin_word,
-                             twice_.data() + shard.begin_word, row,
-                             shard.end_word - shard.begin_word);
-        shard.round_dense.emplace_back(i, row);
-        shard.whole_range = true;
-        continue;
-      }
-    }
-    const auto nb = graph_.neighbors(t);
-    const auto lo = std::lower_bound(nb.begin(), nb.end(), shard.begin_node);
-    const auto hi = std::lower_bound(lo, nb.end(), shard.end_node);
-    for (auto p = lo; p != hi; ++p) {
-      const NodeId w = *p;
-      const std::size_t word = w >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (w & 63);
-      if (once_[word] & bit) {
-        twice_[word] |= bit;
-      } else {
-        // First touch of the bit attributes it; first touch of the word
-        // records it for extraction/clearing (once bits never clear within
-        // a round, so word == 0 means genuinely untouched).
-        if (once_[word] == 0 && !shard.whole_range) {
-          shard.touched.push_back(word);
-        }
-        once_[word] |= bit;
-        unique_tx_index_[w] = i;
-      }
-    }
-  }
-
-  // Finalize heard bits, then attribute dense-row deliveries (a heard
-  // listener has exactly one transmitting neighbour, so at most one dense
-  // row hits it and scalar-recorded indices are never overwritten).
-  std::sort(shard.touched.begin(), shard.touched.end());
-  auto for_each_word = [&](auto&& body) {
-    if (shard.whole_range) {
-      for (std::size_t w = shard.begin_word; w < shard.end_word; ++w) body(w);
-    } else {
-      for (const std::size_t w : shard.touched) body(w);
-    }
-  };
-  if (shard.whole_range) {
-    kernels_->heard_sweep(heard_.data() + shard.begin_word,
-                          once_.data() + shard.begin_word,
-                          twice_.data() + shard.begin_word,
-                          tx_mask_.data() + shard.begin_word,
-                          shard.end_word - shard.begin_word);
-  } else {
-    for (const std::size_t w : shard.touched) {
-      heard_[w] = once_[w] & ~twice_[w] & ~tx_mask_[w];
-    }
-  }
-  for (const auto& [index, row] : shard.round_dense) {
-    for (std::size_t w = shard.begin_word; w < shard.end_word; ++w) {
-      std::uint64_t hits = row[w - shard.begin_word] & heard_[w];
-      while (hits) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
-        hits &= hits - 1;
-        unique_tx_index_[(w << 6) + b] = index;
-      }
-    }
-  }
-
-  // Extract in ascending word order and restore the all-zero accumulator
-  // invariant for the next round, touching only this round's footprint.
-  for_each_word([&](std::size_t w) {
-    std::uint64_t h = heard_[w];
-    while (h) {
-      const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
-      h &= h - 1;
-      const auto listener = static_cast<NodeId>((w << 6) + b);
-      shard.local.deliveries.emplace_back(listener,
-                                          unique_tx_index_[listener]);
-    }
-    if (want_collisions) {
-      std::uint64_t c = twice_[w] & ~tx_mask_[w];
-      while (c) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
-        c &= c - 1;
-        shard.local.collisions.push_back(static_cast<NodeId>((w << 6) + b));
-      }
-    }
-    once_[w] = 0;
-    twice_[w] = 0;
-  });
-}
-
-void HybridEngine::resolve(std::span<const NodeId> transmitters,
-                           bool want_collisions, RoundResolution& out) {
-  out.clear();
-  if (transmitters.empty()) return;
-
-  for (const NodeId t : transmitters) {
-    tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-
-  std::size_t edge_work = 0;
-  for (const NodeId t : transmitters) edge_work += graph_.degree(t);
-  const bool inline_round =
-      shards_.size() <= 1 || edge_work < kHybridInlineCutoffEdges;
-  if (inline_round) {
-    for (auto& shard : shards_) {
-      resolve_shard(shard, transmitters, want_collisions);
-    }
-  } else {
-    par::parallel_for(pool_, shards_.size(), [&](std::size_t i) {
-      resolve_shard(shards_[i], transmitters, want_collisions);
-    });
-  }
-
-  // Deterministic reduction: concatenate in shard (= ascending word-range)
-  // order, which is ascending listener order globally.
-  for (const auto& shard : shards_) {
-    out.deliveries.insert(out.deliveries.end(), shard.local.deliveries.begin(),
-                          shard.local.deliveries.end());
-    out.collisions.insert(out.collisions.end(), shard.local.collisions.begin(),
-                          shard.local.collisions.end());
-  }
-
-  for (const NodeId t : transmitters) tx_mask_[t >> 6] = 0;
-}
-
-// ---------------------------------------------------------------------------
 // Selection
 
 BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
@@ -520,12 +311,7 @@ BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
   if (n < 64) return BackendKind::kScalar;
   const std::size_t words = graph::BitAdjacency::words_for(n);
   const std::size_t bytes = static_cast<std::size_t>(n) * words * 8;
-  if (bytes > kBitBackendMemoryCap) {
-    // Past the bitmap wall: keep word-range sharding alive via the hybrid
-    // CSR-scatter backend when the graph is big enough to amortize it.
-    return n >= kHybridAutoMinNodes ? BackendKind::kHybrid
-                                    : BackendKind::kScalar;
-  }
+  if (bytes > kBitBackendMemoryCap) return BackendKind::kScalar;
   // Scalar costs deg(t) edge visits per transmitter; bit costs ~words word
   // ops.  Prefer bit when the average degree exceeds the word cost.
   const double avg_degree = 2.0 * static_cast<double>(g.edge_count()) / n;
@@ -544,8 +330,6 @@ std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,
     case BackendKind::kBit: return std::make_unique<BitEngine>(g);
     case BackendKind::kSharded:
       return std::make_unique<ShardedBitEngine>(g, threads);
-    case BackendKind::kHybrid:
-      return std::make_unique<HybridEngine>(g, threads);
     default: return std::make_unique<ScalarEngine>(g);
   }
 }

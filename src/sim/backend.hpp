@@ -9,7 +9,9 @@
 /// only this resolution step is specialized:
 ///
 ///  - `ScalarEngine` walks transmitter adjacency lists in the CSR graph:
-///    O(sum of deg(t)) per round — optimal for sparse graphs.
+///    O(sum of deg(t) + touched words) per round and O(n + m) memory —
+///    optimal for sparse graphs, and kAuto's choice for every graph past
+///    the `kBitBackendMemoryCap` bitmap wall.
 ///  - `BitEngine` uses dense `graph::BitAdjacency` rows and the once/twice
 ///    saturating accumulator (`twice |= once & row; once |= row`):
 ///    O(T * n/64) word operations per round regardless of edge count,
@@ -20,12 +22,6 @@
 ///    resolved by a pool worker.  Shards are fixed disjoint ranges and the
 ///    per-shard results are concatenated in shard order, so the outcome is
 ///    bit-exact with `BitEngine` on any thread count.
-///  - `HybridEngine` keeps the sharded word-range stepping alive past the
-///    `kBitBackendMemoryCap` wall: listener bits still live in shared
-///    once/twice accumulator words, but transmitter rows are CSR slices
-///    scattered per shard, with per-(row, shard) dense bitmap slices
-///    precomputed only where the density pays for them.  Memory is
-///    O(n/8 + m) instead of O(n²/8).
 ///
 /// All backends produce listener-sorted results, so every `Engine`
 /// observable (traces, counters, delivery order) is bit-exact across them.
@@ -43,7 +39,6 @@
 #include "graph/graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/simd.hpp"
-#include "support/hugepage.hpp"
 
 namespace radiocast::sim {
 
@@ -55,13 +50,11 @@ enum class BackendKind : std::uint8_t {
   kScalar,   ///< CSR adjacency walk (sparse-friendly seed implementation)
   kBit,      ///< dense bit-parallel stepping over adjacency bitmaps
   kSharded,  ///< multi-core bit-parallel stepping over word-range shards
-  kHybrid,   ///< sharded CSR scatter + selective dense slices, O(n/8 + m)
 };
 
 const char* to_string(BackendKind k);
 
-/// Parses "auto" / "scalar" / "bit" / "sharded" / "hybrid"; nullopt
-/// otherwise.
+/// Parses "auto" / "scalar" / "bit" / "sharded"; nullopt otherwise.
 std::optional<BackendKind> parse_backend(std::string_view name);
 
 /// Resolves a thread-count request: 0 means `hardware_concurrency()`
@@ -104,9 +97,12 @@ class EngineBackend {
 };
 
 /// Sparse backend: the seed engine's per-transmitter adjacency walk, with
-/// all scratch (including the transmitter membership bitmap) hoisted into
-/// reused buffers cleared via touched-node bookkeeping — no per-round O(n)
-/// allocation or zeroing.
+/// all scratch hoisted into reused buffers cleared via touched-node
+/// bookkeeping — no per-round O(n) allocation or zeroing.  Listeners are
+/// extracted in ascending order from an n/64-word touched bitmap, visiting
+/// only the words this round touched (sorted, at most n/64 of them), so a
+/// round costs O(sum of deg(t) + touched words log touched words) with no
+/// per-listener sort.
 class ScalarEngine final : public EngineBackend {
  public:
   explicit ScalarEngine(const graph::Graph& g);
@@ -121,7 +117,10 @@ class ScalarEngine final : public EngineBackend {
   std::vector<std::uint32_t> tx_neighbor_count_;
   std::vector<std::uint32_t> unique_tx_index_;
   std::vector<std::uint8_t> transmitting_;
-  std::vector<NodeId> touched_;
+  /// One bit per listener touched this round; all-zero between rounds.
+  std::vector<std::uint64_t> touched_bits_;
+  /// Indices of this round's nonzero `touched_bits_` words.
+  std::vector<std::uint32_t> touched_words_;
 };
 
 /// Dense backend: once/twice saturating bit accumulation over adjacency
@@ -205,74 +204,6 @@ class ShardedBitEngine final : public EngineBackend {
   std::vector<std::uint32_t> unique_tx_index_;
 };
 
-/// Hybrid sparse/dense backend for graphs whose full adjacency bitmap would
-/// blow `kBitBackendMemoryCap`.  Listener bits live in the same shared
-/// once/twice accumulator words as the bit backends, partitioned into
-/// cache-line-aligned word-range shards; each shard folds in the
-/// transmitters by scattering their CSR neighbour slices (two binary
-/// searches bound the slice) with saturating per-bit semantics, tracking
-/// touched words so extraction and clearing cost O(round footprint), not
-/// O(n/64).  At construction, (row, shard) pairs dense enough that
-/// word-parallel accumulation beats per-bit scatter get a precomputed dense
-/// bitmap slice, admitted in deterministic (row, shard) order under a global
-/// memory budget.  Results are listener-sorted per shard and concatenated in
-/// shard order — bit-exact with `ScalarEngine` at any shard/thread count.
-class HybridEngine final : public EngineBackend {
- public:
-  /// \param threads worker count; 0 means `hardware_concurrency()`.
-  explicit HybridEngine(const graph::Graph& g, std::size_t threads = 0);
-
-  BackendKind kind() const noexcept override { return BackendKind::kHybrid; }
-  const char* name() const noexcept override { return "hybrid"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
-               RoundResolution& out) override;
-
-  std::size_t thread_count() const noexcept { return pool_.thread_count(); }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  /// Total words of precomputed dense row slices (diagnostics/tests).
-  std::size_t dense_slice_words() const noexcept { return dense_words_; }
-  /// True iff the slice arena is huge-page-advised (diagnostics/tests).
-  bool dense_arena_huge() const noexcept { return dense_arena_.huge(); }
-  /// The kernel ISA this backend resolves with (fixed at construction).
-  simd::Isa isa() const noexcept { return kernels_->isa; }
-
- private:
-  struct Shard {
-    std::size_t begin_word = 0;
-    std::size_t end_word = 0;
-    NodeId begin_node = 0;
-    NodeId end_node = 0;
-    /// Rows with a precomputed dense slice over this shard (sorted) and the
-    /// slice's word offset into the shared `dense_arena_`.
-    std::vector<NodeId> dense_ids;
-    std::vector<std::size_t> dense_offsets;
-    /// Round scratch, reused: touched accumulator words (ascending after
-    /// sort), dense rows folded in this round, and the local result.
-    std::vector<std::size_t> touched;
-    std::vector<std::pair<std::uint32_t, const std::uint64_t*>> round_dense;
-    bool whole_range = false;
-    RoundResolution local;
-  };
-
-  void resolve_shard(Shard& shard, std::span<const NodeId> transmitters,
-                     bool want_collisions);
-
-  const simd::Kernels* kernels_ = nullptr;
-  const graph::Graph& graph_;
-  std::size_t words_ = 0;
-  std::size_t dense_words_ = 0;
-  par::ThreadPool pool_;
-  std::vector<Shard> shards_;
-  /// All precomputed dense (row, shard) slices, packed in admission order in
-  /// one huge-page-advised arena (shards index it via `dense_offsets`).
-  support::HugeWords dense_arena_;
-  std::vector<std::uint64_t> once_;
-  std::vector<std::uint64_t> twice_;
-  std::vector<std::uint64_t> tx_mask_;
-  std::vector<std::uint64_t> heard_;
-  std::vector<std::uint32_t> unique_tx_index_;
-};
-
 /// Upper bound on the adjacency bitmap a kAuto selection may allocate.
 inline constexpr std::size_t kBitBackendMemoryCap = 64u << 20;  // 64 MiB
 
@@ -285,32 +216,13 @@ inline constexpr std::uint32_t kShardedAutoMinNodes = 8192;
 /// resolves inline on the calling thread instead of fanning out.
 inline constexpr std::size_t kShardedInlineCutoffWords = 1u << 14;
 
-/// kAuto picks kHybrid over kScalar at this node count and above when the
-/// full bitmap exceeds `kBitBackendMemoryCap`: below it the scalar walk's
-/// touched-node bookkeeping is already cheap enough that shard setup per
-/// round would dominate.
-inline constexpr std::uint32_t kHybridAutoMinNodes = 65536;
-
-/// Global budget for HybridEngine's precomputed dense row slices.
-inline constexpr std::size_t kHybridDenseBudgetBytes = 64u << 20;  // 64 MiB
-
-/// A (row, shard) pair gets a dense slice only when the row has at least
-/// this many neighbours per slice word — past the break-even point where
-/// word-parallel accumulation plus whole-range extraction beats per-bit
-/// scatter over the touched words.
-inline constexpr std::size_t kHybridDenseNeighborsPerWord = 2;
-
-/// Below this much total transmitter degree, HybridEngine resolves inline
-/// on the calling thread instead of fanning out.
-inline constexpr std::size_t kHybridInlineCutoffEdges = 1u << 14;
-
 /// Resolves kAuto against the graph: kBit iff the bitmap fits under
 /// `kBitBackendMemoryCap` and the average degree exceeds the n/64 words a
 /// BitEngine touches per transmitter (the break-even density); kBit further
 /// upgrades to kSharded when n >= `kShardedAutoMinNodes` and
-/// `resolve_thread_count(threads) >= 2`.  Above the bitmap cap, graphs with
-/// n >= `kHybridAutoMinNodes` go kHybrid and smaller ones kScalar.
-/// Explicit requests are honored unchanged.
+/// `resolve_thread_count(threads) >= 2`.  Everything else, including every
+/// graph past the bitmap cap, goes kScalar.  Explicit requests are honored
+/// unchanged.
 BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
                            std::size_t threads = 0);
 

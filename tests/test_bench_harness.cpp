@@ -326,6 +326,9 @@ TEST(BenchCli, ParsesBackendFlag) {
 
   const char* bogus[] = {"radiocast_bench", "--backend", "simd"};
   EXPECT_FALSE(parse_args(3, bogus).error.empty());
+  const char* hybrid[] = {"radiocast_bench", "--backend", "hybrid"};
+  EXPECT_NE(parse_args(3, hybrid).error.find("unknown backend 'hybrid'"),
+            std::string::npos);
   const char* missing[] = {"radiocast_bench", "--backend"};
   EXPECT_FALSE(parse_args(2, missing).error.empty());
 }

@@ -1,7 +1,6 @@
 // Differential tests for the pluggable engine backends: the scalar CSR walk,
-// the bit-parallel dense stepper, the sharded multi-core stepper, the hybrid
-// CSR-scatter stepper (past the bitmap memory cap), and the compiled
-// schedule replays (Lemma 2.8 for B, the stamped-chain predictions
+// the bit-parallel dense stepper, the sharded multi-core stepper, and the
+// compiled schedule replays (Lemma 2.8 for B, the stamped-chain predictions
 // for B_ack and B_arb) must be bit-exact — identical per-round traces
 // (transmissions, deliveries, collisions), identical first-data receptions,
 // ack rounds, tx/rx counters, and stamp accounting — on randomized graphs,
@@ -10,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +122,37 @@ std::vector<Graph> random_graphs(std::size_t count, std::uint64_t seed) {
   return graphs;
 }
 
+/// Sparse graphs spanning many 64-bit words (n ~ 300-5000), so a round's
+/// listeners land in many words and the scalar backend's touched-word
+/// extraction order is exercised.
+std::vector<Graph> sparse_multiword_graphs(std::size_t count,
+                                           std::uint64_t seed) {
+  std::vector<Graph> graphs;
+  Rng rng(seed);
+  while (graphs.size() < count) {
+    const auto n = 300 + static_cast<std::uint32_t>(rng.below(4700));
+    switch (graphs.size() % 4) {
+      case 0:
+        graphs.push_back(graph::sparse_gnp_connected(
+            n, 3.0 + static_cast<double>(rng.below(6)), rng));
+        break;
+      case 1:
+        graphs.push_back(graph::random_tree(n, rng));
+        break;
+      case 2: {
+        const auto rows = 10 + static_cast<std::uint32_t>(rng.below(40));
+        graphs.push_back(graph::grid(rows, n / rows));
+        break;
+      }
+      default:
+        graphs.push_back(graph::random_geometric(
+            n, 1.5 / std::sqrt(static_cast<double>(n)), rng));
+        break;
+    }
+  }
+  return graphs;
+}
+
 void expect_traces_equal(const sim::Trace& a, const sim::Trace& b,
                          const std::string& what) {
   ASSERT_EQ(a.rounds().size(), b.rounds().size()) << what;
@@ -205,29 +236,28 @@ TEST(BackendSelection, ShardedNameRoundTrips) {
   EXPECT_FALSE(sim::parse_backend("shard").has_value());
 }
 
-TEST(BackendSelection, HybridNameRoundTrips) {
-  EXPECT_STREQ(sim::to_string(sim::BackendKind::kHybrid), "hybrid");
-  ASSERT_TRUE(sim::parse_backend("hybrid").has_value());
-  EXPECT_EQ(*sim::parse_backend("hybrid"), sim::BackendKind::kHybrid);
+TEST(BackendSelection, HybridNameIsRejected) {
+  // The hybrid sparse backend is gone (the scalar walk covers its graphs);
+  // its name must not parse back into some other backend.
+  EXPECT_FALSE(sim::parse_backend("hybrid").has_value());
   EXPECT_FALSE(sim::parse_backend("hyb").has_value());
 }
 
-TEST(BackendSelection, AutoPicksHybridPastTheBitmapCap) {
-  // n = 65536 would need a 512 MiB bitmap — past kBitBackendMemoryCap the
-  // auto rule keeps shard-style stepping alive via the hybrid backend
-  // instead of silently degrading to the scalar walk.
-  const Graph big = graph::path(65536);
-  EXPECT_EQ(sim::choose_backend(big, sim::BackendKind::kAuto),
-            sim::BackendKind::kHybrid);
-  EXPECT_EQ(sim::choose_backend(big, sim::BackendKind::kAuto, 8),
-            sim::BackendKind::kHybrid);
-  EXPECT_EQ(sim::make_engine_backend(big, sim::BackendKind::kAuto)->kind(),
-            sim::BackendKind::kHybrid);
-  // Over the cap but below kHybridAutoMinNodes the scalar walk still wins
-  // (too small to amortize the shard machinery).
-  const Graph mid = graph::path(30000);
-  EXPECT_EQ(sim::choose_backend(mid, sim::BackendKind::kAuto),
-            sim::BackendKind::kScalar);
+TEST(BackendSelection, AutoPicksScalarPastTheBitmapCap) {
+  // n = 30000 and 65536 would need 107 MiB and 512 MiB bitmaps: past
+  // kBitBackendMemoryCap kAuto resolves to the scalar walk at any size and
+  // worker count.
+  for (const std::uint32_t n : {30000u, 65536u}) {
+    const Graph g = graph::path(n);
+    for (const std::size_t threads : {0u, 1u, 8u}) {
+      EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto, threads),
+                sim::BackendKind::kScalar)
+          << n << " t" << threads;
+    }
+    EXPECT_EQ(sim::make_engine_backend(g, sim::BackendKind::kAuto)->kind(),
+              sim::BackendKind::kScalar)
+        << n;
+  }
 }
 
 TEST(BackendSelection, AutoUpgradesToShardedOnBigDenseGraphsWithThreads) {
@@ -278,13 +308,14 @@ TEST(BackendSelection, EngineReportsResolvedKind) {
 
 // ---------------------------------------------------------------------------
 // Scalar vs bit vs sharded: randomized protocol traffic, with and without
-// collision detection.  60 randomized graphs per (mode, challenger).
+// collision detection.  60 randomized small graphs per (mode, challenger),
+// plus sparse multi-word graphs against the bit backend.
 
-void run_random_traffic_differential(bool collision_detection,
+void run_random_traffic_differential(const std::vector<Graph>& graphs,
+                                     bool collision_detection,
                                      std::uint64_t seed,
                                      sim::BackendKind challenger,
                                      std::size_t threads = 0) {
-  const auto graphs = random_graphs(60, seed);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
     const auto n = g.node_count();
@@ -316,70 +347,61 @@ void run_random_traffic_differential(bool collision_detection,
 }
 
 TEST(BackendDifferential, RandomTrafficScalarVsBit) {
-  run_random_traffic_differential(/*collision_detection=*/false, 0xC0FFEE,
+  run_random_traffic_differential(random_graphs(60, 0xC0FFEE),
+                                  /*collision_detection=*/false, 0xC0FFEE,
                                   sim::BackendKind::kBit);
 }
 
 TEST(BackendDifferential, RandomTrafficScalarVsBitWithCollisionDetection) {
-  run_random_traffic_differential(/*collision_detection=*/true, 0xBEEF,
+  run_random_traffic_differential(random_graphs(60, 0xBEEF),
+                                  /*collision_detection=*/true, 0xBEEF,
+                                  sim::BackendKind::kBit);
+}
+
+TEST(BackendDifferential, RandomTrafficScalarVsBitOnSparseMultiWordGraphs) {
+  run_random_traffic_differential(sparse_multiword_graphs(12, 0x4B1D),
+                                  /*collision_detection=*/false, 0x4B1D,
+                                  sim::BackendKind::kBit);
+}
+
+TEST(BackendDifferential,
+     RandomTrafficScalarVsBitOnSparseMultiWordGraphsWithCollisionDetection) {
+  run_random_traffic_differential(sparse_multiword_graphs(12, 0xFADE),
+                                  /*collision_detection=*/true, 0xFADE,
                                   sim::BackendKind::kBit);
 }
 
 TEST(BackendDifferential, RandomTrafficScalarVsSharded) {
-  run_random_traffic_differential(/*collision_detection=*/false, 0x5AAD,
+  run_random_traffic_differential(random_graphs(60, 0x5AAD),
+                                  /*collision_detection=*/false, 0x5AAD,
                                   sim::BackendKind::kSharded, /*threads=*/3);
 }
 
 TEST(BackendDifferential, RandomTrafficScalarVsShardedWithCollisionDetection) {
-  run_random_traffic_differential(/*collision_detection=*/true, 0xD00D,
+  run_random_traffic_differential(random_graphs(60, 0xD00D),
+                                  /*collision_detection=*/true, 0xD00D,
                                   sim::BackendKind::kSharded, /*threads=*/4);
 }
 
-TEST(BackendDifferential, RandomTrafficScalarVsHybrid) {
-  run_random_traffic_differential(/*collision_detection=*/false, 0x4B1D,
-                                  sim::BackendKind::kHybrid, /*threads=*/2);
-}
-
-TEST(BackendDifferential, RandomTrafficScalarVsHybridWithCollisionDetection) {
-  run_random_traffic_differential(/*collision_detection=*/true, 0xFADE,
-                                  sim::BackendKind::kHybrid, /*threads=*/3);
-}
-
-TEST(BackendDifferential, HybridDenseSlicesMatchScalarOnClique) {
-  // complete(512) saturates every shard word, so every transmitter row is
-  // admitted as a dense slice — exercising the word-fold resolution path
-  // and its heard-bit attribution pass at several thread counts.
-  const Graph g = graph::complete(512);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    sim::HybridEngine probe(g, threads);
-    EXPECT_GT(probe.dense_slice_words(), 0u) << threads;
-    sim::Engine scalar(
-        g, hash_talkers(g.node_count(), 99, 3),
-        {sim::TraceLevel::kFull, true, sim::BackendKind::kScalar});
-    sim::Engine hybrid(
-        g, hash_talkers(g.node_count(), 99, 3),
-        {sim::TraceLevel::kFull, true, sim::BackendKind::kHybrid, threads});
-    for (int r = 0; r < 12; ++r) EXPECT_EQ(scalar.step(), hybrid.step());
-    expect_engines_equal(scalar, hybrid,
-                         "clique hybrid t" + std::to_string(threads));
-  }
-}
-
-TEST(BackendDifferential, HybridBroadcastAtBitmapScale) {
+TEST(BackendDifferential, AutoBroadcastPastBitmapCapMatchesCompiled) {
   // A sparse graph past the bitmap cap, end-to-end: kAuto resolves to the
-  // hybrid backend and must reproduce the scalar run exactly.
+  // scalar walk, and the engine run must agree with the label-determined
+  // compiled replay (Lemma 2.8).
   Rng rng(123);
   const Graph g = graph::sparse_gnp_connected(70000, 6.0, rng);
+  ASSERT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),
+            sim::BackendKind::kScalar);
   core::RunOptions opt;
-  const auto hybrid = core::run_broadcast(g, 0, opt);  // kAuto → hybrid
-  EXPECT_TRUE(hybrid.all_informed);
-  EXPECT_LE(hybrid.completion_round, hybrid.bound);
-  opt.backend = sim::BackendKind::kScalar;
-  const auto scalar = core::run_broadcast(g, 0, opt);
-  EXPECT_EQ(hybrid.completion_round, scalar.completion_round);
-  EXPECT_EQ(hybrid.data_tx_count, scalar.data_tx_count);
-  EXPECT_EQ(hybrid.stay_count, scalar.stay_count);
-  EXPECT_EQ(hybrid.max_node_tx, scalar.max_node_tx);
+  opt.trace = sim::TraceLevel::kFull;  // data/stay counts come off the trace
+  const auto engine = core::run_broadcast(g, 0, opt);
+  EXPECT_TRUE(engine.all_informed);
+  EXPECT_LE(engine.completion_round, engine.bound);
+  const auto compiled = core::run_broadcast_compiled(g, 0, opt);
+  EXPECT_EQ(compiled.all_informed, engine.all_informed);
+  EXPECT_EQ(compiled.completion_round, engine.completion_round);
+  EXPECT_EQ(compiled.data_tx_count, engine.data_tx_count);
+  EXPECT_EQ(compiled.stay_count, engine.stay_count);
+  EXPECT_EQ(compiled.max_node_tx, engine.max_node_tx);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,6 +640,8 @@ TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
     expect_replay_matches_engine(replay, engine, what);
     const auto& prediction = compiled.prediction();
     EXPECT_EQ(prediction.total_rounds, engine.round()) << what;
+    EXPECT_EQ(prediction.completion_round, engine.last_first_data_reception())
+        << what;
     for (NodeId v = 0; v < n; ++v) {
       const auto& p = dynamic_cast<const core::ArbProtocol&>(
           engine.protocol(v));

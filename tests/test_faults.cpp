@@ -230,7 +230,7 @@ TEST(Faults, SeedDeterminismAcrossBackendsThreadsAndDispatch) {
 
     for (const sim::BackendKind backend :
          {sim::BackendKind::kScalar, sim::BackendKind::kBit,
-          sim::BackendKind::kSharded, sim::BackendKind::kHybrid}) {
+          sim::BackendKind::kSharded}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         for (const sim::DispatchKind dispatch :
              {sim::DispatchKind::kScan, sim::DispatchKind::kActiveSet}) {

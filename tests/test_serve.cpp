@@ -542,6 +542,25 @@ TEST(Serve, ErrorFramesCarryStableCodes) {
   bad_encoding.set("specs", std::move(good_specs));
   expect_code(bad_encoding, "bad_request");
 
+  // A retired backend name is a field error, never a silent fallback.
+  Json hybrid_spec = runtime::wire::to_json(good);
+  Json hybrid_config(Json::Object{});
+  hybrid_config.set("backend", Json(std::string("hybrid")));
+  hybrid_spec.set("config", std::move(hybrid_config));
+  Json hybrid(Json::Object{});
+  hybrid.set("v", Json(std::uint64_t{2}));
+  hybrid.set("type", Json(std::string("batch")));
+  Json hybrid_specs(Json::Array{});
+  hybrid_specs.push_back(std::move(hybrid_spec));
+  hybrid.set("specs", std::move(hybrid_specs));
+  ASSERT_TRUE(client.send(hybrid));
+  const auto hybrid_reply = client.receive();
+  ASSERT_TRUE(hybrid_reply.has_value());
+  EXPECT_EQ(hybrid_reply->get("code").as_string(), "bad_spec");
+  EXPECT_NE(hybrid_reply->get("error").as_string().find("\"backend\""),
+            std::string::npos)
+      << hybrid_reply->get("error").as_string();
+
   Json compact(Json::Object{});
   compact.set("v", Json(std::uint64_t{2}));
   compact.set("type", Json(std::string("compact")));

@@ -269,8 +269,7 @@ TEST(SimdEngineDifferential, ForcedIsasMatchScalarOnAllBitBackends) {
   graphs.push_back(graph::complete(97));
 
   const std::vector<sim::BackendKind> backends = {sim::BackendKind::kBit,
-                                                  sim::BackendKind::kSharded,
-                                                  sim::BackendKind::kHybrid};
+                                                  sim::BackendKind::kSharded};
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const Graph& g = graphs[gi];
     for (const bool cd : {false, true}) {
