@@ -1,11 +1,15 @@
 #include "core/compiled_schedule.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <utility>
 
+#include "graph/node_bitset.hpp"
+
 namespace radiocast::core {
 
+using graph::NodeBitset;
 using sim::Message;
 using sim::MsgKind;
 
@@ -161,30 +165,38 @@ ReplayResult CompiledScheduleRunner::run(sim::TraceLevel level) {
 
 namespace {
 
-/// Round-indexed candidate lists: a node is evaluated in round r only if an
+/// Per-round candidate sets: a node is evaluated in round r only if an
 /// earlier event (reception, own transmission, or origin arming) could make
 /// it act in r — the event-driven equivalent of the engine's full per-round
-/// protocol scan.
+/// protocol scan.  Events arm only rounds r + 1 and r + 2 (and standing
+/// candidates round r itself), so three n-bit slots, reused round-robin,
+/// hold every pending round.
 class RoundAgenda {
  public:
-  explicit RoundAgenda(std::uint64_t max_rounds) : slots_(max_rounds + 3) {}
+  explicit RoundAgenda(std::uint32_t n)
+      : slots_{NodeBitset(n), NodeBitset(n), NodeBitset(n)} {}
 
   void push(std::uint64_t round, NodeId v) {
-    if (round < slots_.size()) slots_[round].push_back(v);
+    RC_ASSERT(round > taken_ && round <= taken_ + 2);
+    slots_[round % 3].insert(v);
   }
 
-  /// Candidates for `round`, sorted and deduplicated — ascending node order
-  /// matches the engine's decision collection, so compiled transmitter
-  /// arrays come out in trace order.
-  std::vector<NodeId>& take(std::uint64_t round) {
-    auto& s = slots_[round];
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-    return s;
+  /// Candidates for `round` in ascending node order — the engine's decision
+  /// collection order, so compiled transmitter arrays come out in trace
+  /// order.  Rounds must be taken consecutively; the slot is recycled.
+  const std::vector<NodeId>& take(std::uint64_t round) {
+    RC_ASSERT(round == taken_ + 1);
+    taken_ = round;
+    NodeBitset& slot = slots_[round % 3];
+    slot.members(out_);
+    slot.clear();
+    return out_;
   }
 
  private:
-  std::vector<std::vector<NodeId>> slots_;
+  std::array<NodeBitset, 3> slots_;
+  std::vector<NodeId> out_;
+  std::uint64_t taken_ = 0;  ///< last round handed out
 };
 
 /// One phase of a stamped broadcast as structure-of-arrays: the flat image
@@ -368,7 +380,7 @@ CompiledAckRunner::CompiledAckRunner(const Graph& g, const Labeling& labeling,
   // prediction carries completion_round without a second replay pass.
   std::vector<std::uint64_t> engine_first_data(n, 0);
 
-  RoundAgenda agenda(max_rounds);
+  RoundAgenda agenda(n);
   agenda.push(1, source_);
 
   ExecutionBuilder builder;
@@ -492,7 +504,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   // Engine-level first-data accounting, as in CompiledAckRunner.
   std::vector<std::uint8_t> engine_has_data(n, 0);
 
-  RoundAgenda agenda(max_rounds);
+  RoundAgenda agenda(n);
   ExecutionBuilder builder;
   sim::RoundResolution res;
 
@@ -607,17 +619,13 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
     }
   };
 
-  std::vector<NodeId> cands;
   for (std::uint64_t r = 1; r <= max_rounds; ++r) {
     // Coordinator and source run timers, so they are standing candidates.
-    cands = agenda.take(r);
-    cands.push_back(coord);
-    cands.push_back(source);
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    agenda.push(r, coord);
+    agenda.push(r, source);
 
     builder.begin_round();
-    for (const NodeId v : cands) {
+    for (const NodeId v : agenda.take(r)) {
       if (auto m = decide(v, r)) {
         builder.add(v, *m);
         agenda.push(r + 2, v);  // stay-triggered retransmission window

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/labeling.hpp"
@@ -151,6 +152,8 @@ class CompiledAckRunner {
                     std::size_t threads = 0, std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
+  /// Moves the execution out, leaving an empty one behind.
+  CompiledExecution take_execution() { return std::exchange(exec_, {}); }
   const AckPrediction& prediction() const noexcept { return prediction_; }
   sim::BackendKind backend_kind() const noexcept { return backend_->kind(); }
 
@@ -191,6 +194,8 @@ class CompiledArbRunner {
                     std::size_t threads = 0, std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
+  /// Moves the execution out, leaving an empty one behind.
+  CompiledExecution take_execution() { return std::exchange(exec_, {}); }
   const ArbPrediction& prediction() const noexcept { return prediction_; }
   sim::BackendKind backend_kind() const noexcept { return backend_->kind(); }
 

@@ -1,10 +1,6 @@
 #include "core/labeling.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <utility>
-
-#include "parallel/chunked.hpp"
 
 namespace radiocast::core {
 
@@ -27,18 +23,14 @@ namespace {
 /// adjacent to the same DOM_{i+1} node — which is what lets the algorithm
 /// deliver every "stay" without collision (Lemma 2.8's proof).
 void assign_designators(const Graph& g, const StageSets& s,
-                        std::vector<Label>& labels, par::ThreadPool* pool) {
-  // Work list: every v ∈ DOM_{i+1} ∩ DOM_i via two-pointer intersection of
-  // the sorted levels, in the same (stage, ascending id) order the nested
-  // sequential loop visits them.
-  struct Item {
-    std::uint32_t stage_index;  // i: dom[i] = DOM_{i+1}, fresh[i] = NEW_{i+1}
-    NodeId v;
-  };
-  std::vector<Item> items;
+                        std::vector<Label>& labels) {
+  // Every v ∈ DOM_{i+1} ∩ DOM_i, by two-pointer intersection of the sorted
+  // levels, takes its lowest-id NEW_i neighbour (w ∈ NEW_i ⟺
+  // stage_of[w] == i+1, Corollary 2.7).
   for (std::size_t i = 0; i + 1 < s.dom.size(); ++i) {
     const auto& dom_i = s.dom[i];
     const auto& dom_next = s.dom[i + 1];
+    const auto fresh_stage = static_cast<std::uint32_t>(i + 1);
     std::size_t a = 0, b = 0;
     while (a < dom_next.size() && b < dom_i.size()) {
       if (dom_next[a] < dom_i[b]) {
@@ -46,35 +38,22 @@ void assign_designators(const Graph& g, const StageSets& s,
       } else if (dom_i[b] < dom_next[a]) {
         ++b;
       } else {
-        items.push_back({static_cast<std::uint32_t>(i), dom_next[a]});
+        NodeId chosen = graph::kNoNode;
+        for (const NodeId w : g.neighbors(dom_next[a])) {
+          if (s.stage_of[w] == fresh_stage) {
+            chosen = w;
+            break;  // neighbours sorted: first hit is lowest id
+          }
+        }
+        RC_ASSERT_MSG(chosen != graph::kNoNode,
+                      "designator existence violated (private witness)");
+        RC_ASSERT_MSG(!labels[chosen].x2,
+                      "designator reused across dominators");
+        labels[chosen].x2 = true;
         ++a;
         ++b;
       }
     }
-  }
-  // The lowest-id NEW_i neighbour of each dominator, found independently per
-  // item (w ∈ NEW_i ⟺ stage_of[w] == i+1, Corollary 2.7); the x2 commits run
-  // sequentially in item order so the reuse assertion fires deterministically.
-  std::vector<NodeId> chosen(items.size(), graph::kNoNode);
-  constexpr std::size_t kDesignatorGrain = 1024;
-  par::for_chunks(pool, items.size(), kDesignatorGrain,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t j = begin; j < end; ++j) {
-                      const std::uint32_t fresh_stage =
-                          items[j].stage_index + 1;
-                      for (const NodeId w : g.neighbors(items[j].v)) {
-                        if (s.stage_of[w] == fresh_stage) {
-                          chosen[j] = w;
-                          break;  // neighbours sorted: first hit is lowest id
-                        }
-                      }
-                    }
-                  });
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    RC_ASSERT_MSG(chosen[j] != graph::kNoNode,
-                  "designator existence violated (private-witness argument)");
-    RC_ASSERT_MSG(!labels[chosen[j]].x2, "designator reused across dominators");
-    labels[chosen[j]].x2 = true;
   }
 }
 
@@ -82,17 +61,14 @@ void assign_designators(const Graph& g, const StageSets& s,
 
 Labeling label_broadcast(const Graph& g, NodeId source,
                          const LabelingOptions& opt) {
-  std::optional<par::ThreadPool> owned_pool;
-  if (opt.threads != 1) owned_pool.emplace(opt.threads);
-  par::ThreadPool* pool = owned_pool ? &*owned_pool : nullptr;
   Labeling out;
   out.source = source;
-  out.stages = build_stage_sets(g, source, opt.policy, opt.seed, pool);
+  out.stages = build_stage_sets(g, source, opt.policy, opt.seed);
   out.labels.assign(g.node_count(), Label{});
   for (const auto& dom : out.stages.dom) {
     for (const NodeId v : dom) out.labels[v].x1 = true;
   }
-  assign_designators(g, out.stages, out.labels, pool);
+  assign_designators(g, out.stages, out.labels);
   return out;
 }
 

@@ -50,10 +50,6 @@ struct Labeling {
 struct LabelingOptions {
   DomPolicy policy = DomPolicy::kAscendingId;
   std::uint64_t seed = 0;
-  /// Worker threads for the construction passes (stage sets, designators):
-  /// 1 = sequential (default), 0 = hardware concurrency, k = exactly k.
-  /// The output is byte-identical at any thread count.
-  std::size_t threads = 1;
 };
 
 /// λ (paper §2.2): 2-bit labels for broadcast from a known source.

@@ -1,11 +1,11 @@
 #include "core/stages.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
-#include <numeric>
 #include <utility>
 
-#include "parallel/chunked.hpp"
+#include "graph/node_bitset.hpp"
 
 namespace radiocast::core {
 
@@ -32,47 +32,32 @@ bool StageSets::in_any_dom(NodeId v) const {
 
 namespace {
 
-/// Orders the candidate list for the removal pass according to the policy.
-/// `is_fresh` marks members of NEW_{i-1} (vs. veterans from DOM_{i-1}).
-void order_candidates(std::vector<NodeId>& cand,
-                      const std::vector<bool>& is_fresh, DomPolicy policy,
-                      Rng& rng) {
-  switch (policy) {
-    case DomPolicy::kAscendingId:
-      std::sort(cand.begin(), cand.end());
-      break;
-    case DomPolicy::kDescendingId:
-      std::sort(cand.begin(), cand.end(), std::greater<>());
-      break;
-    case DomPolicy::kPreferDropOld:
-      // Veterans first in the removal order => they are removed when possible.
-      std::sort(cand.begin(), cand.end(), [&](NodeId a, NodeId b) {
-        if (is_fresh[a] != is_fresh[b]) return !is_fresh[a];
-        return a < b;
-      });
-      break;
-    case DomPolicy::kPreferDropNew:
-      std::sort(cand.begin(), cand.end(), [&](NodeId a, NodeId b) {
-        if (is_fresh[a] != is_fresh[b]) return is_fresh[a];
-        return a < b;
-      });
-      break;
-    case DomPolicy::kRandom:
-      std::sort(cand.begin(), cand.end());
-      rng.shuffle(cand);
-      break;
-    case DomPolicy::kGreedyCover:
-    case DomPolicy::kMaxFresh:
-      // Handled by dedicated selection paths in build_stage_sets.
-      std::sort(cand.begin(), cand.end());
-      break;
+/// Writes the removal-pass order of the candidates DOM_{i-1} ∪ NEW_{i-1}
+/// to `out`.  Both levels are sorted and disjoint, so every policy's order
+/// is a concatenation or a merge (reversed or shuffled) of them.
+void order_candidates(const std::vector<NodeId>& veterans,
+                      const std::vector<NodeId>& fresh, DomPolicy policy,
+                      Rng& rng, std::vector<NodeId>& out) {
+  out.clear();
+  const auto append = [&out](const std::vector<NodeId>& level) {
+    out.insert(out.end(), level.begin(), level.end());
+  };
+  if (policy == DomPolicy::kPreferDropOld) {
+    // Veterans first in the removal order => they are removed when possible.
+    append(veterans);
+    append(fresh);
+    return;
   }
+  if (policy == DomPolicy::kPreferDropNew) {
+    append(fresh);
+    append(veterans);
+    return;
+  }
+  std::merge(veterans.begin(), veterans.end(), fresh.begin(), fresh.end(),
+             std::back_inserter(out));
+  if (policy == DomPolicy::kDescendingId) std::reverse(out.begin(), out.end());
+  if (policy == DomPolicy::kRandom) rng.shuffle(out);
 }
-
-/// Minimum items per chunk before a pass fans out.  Below this the fan-out
-/// overhead exceeds the work; the chunk layout (and therefore the output)
-/// never depends on it beyond "inline vs. pooled".
-constexpr std::size_t kStageGrain = 2048;
 
 /// Fills StageSets::dom_member from the finished DOM levels.
 void finalize_dom_member(StageSets& s, std::uint32_t n) {
@@ -85,7 +70,7 @@ void finalize_dom_member(StageSets& s, std::uint32_t n) {
 }  // namespace
 
 StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
-                           std::uint64_t seed, par::ThreadPool* pool) {
+                           std::uint64_t seed) {
   const std::uint32_t n = g.node_count();
   RC_EXPECTS(source < n);
 
@@ -122,37 +107,32 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
     return out;
   }
 
-  // in_frontier / cover / is_fresh are stage-scratch indexed by vertex.
-  std::vector<bool> in_frontier(n, false);
+  // cover / kept are stage scratch indexed by vertex.
   std::vector<std::uint32_t> cover(n, 0);
-  std::vector<bool> is_fresh(n, false);
   std::vector<bool> kept(n, false);
   // cand_stamp[v] == stage marks v as a candidate this stage (no resets).
   std::vector<std::uint32_t> cand_stamp(n, 0);
-  // has_private[v]: removal-pass preprocessing result (parallel path only).
-  std::vector<std::uint8_t> has_private;
 
-  // FRONTIER_2 seed: uninformed nodes adjacent to an informed one.  Gather
-  // direction (one writer per node) so the scan can fan out; maintained
-  // incrementally from NEW_{i-1} below.
+  // FRONTIER_{i+1} = (FRONTIER_i \ NEW_i) ∪ (Γ(NEW_i) ∩ UNINF), marked in
+  // `in_frontier` and read back ascending.  FRONTIER_1 = NEW_1 = Γ(s) is
+  // all informed, so FRONTIER_2 = Γ(NEW_1) ∩ UNINF.
+  graph::NodeBitset in_frontier(n);
   std::vector<NodeId> frontier;
-  par::collect_chunks<NodeId>(
-      pool, n, kStageGrain, frontier, [&](std::size_t i, auto& part) {
-        const NodeId v = static_cast<NodeId>(i);
-        if (informed[v]) return;
-        for (const NodeId w : g.neighbors(v)) {
-          if (informed[w]) {
-            part.push_back(v);
-            return;
-          }
-        }
-      });
+  const auto advance_frontier = [&](const std::vector<NodeId>& fresh) {
+    for (const NodeId v : frontier) {
+      if (!informed[v]) in_frontier.insert(v);
+    }
+    for (const NodeId v : fresh) {
+      for (const NodeId w : g.neighbors(v)) {
+        if (!informed[w]) in_frontier.insert(w);
+      }
+    }
+    in_frontier.members(frontier);
+  };
+  advance_frontier(new_prev);
 
   for (std::uint32_t stage = 2;; ++stage) {
     RC_ASSERT_MSG(stage <= n, "Lemma 2.6 violated: more than n stages");
-    // FRONTIER_stage.
-    std::sort(frontier.begin(), frontier.end());
-    for (const NodeId v : frontier) in_frontier[v] = true;
     out.frontier.push_back(frontier);
     RC_ASSERT_MSG(!frontier.empty(),
                   "connected graph must have a nonempty frontier");
@@ -160,34 +140,19 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
     // Candidates = DOM_{stage-1} ∪ NEW_{stage-1} (disjoint by construction).
     std::vector<NodeId> cand;
     cand.reserve(dom_prev.size() + new_prev.size());
-    for (const NodeId v : dom_prev) {
-      cand.push_back(v);
-      is_fresh[v] = false;
-      cand_stamp[v] = stage;
-    }
-    for (const NodeId v : new_prev) {
-      cand.push_back(v);
-      is_fresh[v] = true;
-      cand_stamp[v] = stage;
-    }
+    cand.insert(cand.end(), dom_prev.begin(), dom_prev.end());
+    cand.insert(cand.end(), new_prev.begin(), new_prev.end());
+    for (const NodeId v : cand) cand_stamp[v] = stage;
 
-    // Cover counts over the frontier, gather direction (cover[y] = |Γ(y) ∩
-    // cand|, one writer per y); Lemma 2.5: every frontier node is dominated
-    // by some candidate.
-    par::for_chunks(pool, frontier.size(), kStageGrain,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t j = begin; j < end; ++j) {
-                        const NodeId y = frontier[j];
-                        std::uint32_t c = 0;
-                        for (const NodeId w : g.neighbors(y)) {
-                          c += cand_stamp[w] == stage ? 1u : 0u;
-                        }
-                        cover[y] = c;
-                      }
-                    });
+    // Cover counts over the frontier (cover[y] = |Γ(y) ∩ cand|); Lemma 2.5:
+    // every frontier node is dominated by some candidate.
     for (const NodeId y : frontier) {
-      RC_ASSERT_MSG(cover[y] >= 1,
-                    "Lemma 2.5 violated: undominated frontier node");
+      std::uint32_t c = 0;
+      for (const NodeId w : g.neighbors(y)) {
+        c += cand_stamp[w] == stage ? 1u : 0u;
+      }
+      RC_ASSERT_MSG(c >= 1, "Lemma 2.5 violated: undominated frontier node");
+      cover[y] = c;
     }
 
     std::vector<NodeId> dom_cur;
@@ -199,14 +164,14 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       for (const NodeId v : selection) {
         bool removable = true;
         for (const NodeId w : g.neighbors(v)) {
-          if (in_frontier[w] && cover[w] < 2) {
+          if (in_frontier.contains(w) && cover[w] < 2) {
             removable = false;
             break;
           }
         }
         if (removable) {
           for (const NodeId w : g.neighbors(v)) {
-            if (in_frontier[w]) --cover[w];
+            if (in_frontier.contains(w)) --cover[w];
           }
         } else {
           minimal.push_back(v);
@@ -216,48 +181,28 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
     };
 
     if (policy == DomPolicy::kGreedyCover) {
-      // Greedy max-coverage selection, then a minimalization pass.
+      // Greedy max-coverage selection (first candidate of maximal gain in
+      // candidate order), then a minimalization pass.
       std::vector<bool> covered(n, false);
       std::vector<NodeId> pool_nodes = cand;
       std::size_t uncovered_left = frontier.size();
       while (uncovered_left > 0) {
-        // Chunked arg-max: per-chunk (gain, position) maxima under the
-        // sequential strict-> first-wins rule, combined in chunk order —
-        // the winner is the same candidate the sequential scan picks.
-        const std::size_t slots =
-            par::chunk_slots(pool, pool_nodes.size(), kStageGrain);
-        std::vector<std::pair<std::uint32_t, std::size_t>> chunk_best(
-            slots, {0, pool_nodes.size()});
-        par::for_chunks(
-            pool, pool_nodes.size(), kStageGrain,
-            [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              std::uint32_t top_gain = 0;
-              std::size_t top_pos = pool_nodes.size();
-              for (std::size_t pos = begin; pos < end; ++pos) {
-                const NodeId v = pool_nodes[pos];
-                std::uint32_t gain = 0;
-                for (const NodeId w : g.neighbors(v)) {
-                  if (in_frontier[w] && !covered[w]) ++gain;
-                }
-                if (gain > top_gain) {
-                  top_gain = gain;
-                  top_pos = pos;
-                }
-              }
-              chunk_best[chunk] = {top_gain, top_pos};
-            });
         NodeId best = graph::kNoNode;
         std::uint32_t best_gain = 0;
-        for (const auto& [gain, pos] : chunk_best) {
+        for (const NodeId v : pool_nodes) {
+          std::uint32_t gain = 0;
+          for (const NodeId w : g.neighbors(v)) {
+            if (in_frontier.contains(w) && !covered[w]) ++gain;
+          }
           if (gain > best_gain) {
             best_gain = gain;
-            best = pool_nodes[pos];
+            best = v;
           }
         }
         RC_ASSERT(best != graph::kNoNode);
         dom_cur.push_back(best);
         for (const NodeId w : g.neighbors(best)) {
-          if (in_frontier[w] && !covered[w]) {
+          if (in_frontier.contains(w) && !covered[w]) {
             covered[w] = true;
             --uncovered_left;
           }
@@ -268,7 +213,7 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       for (const NodeId y : frontier) cover[y] = 0;
       for (const NodeId v : dom_cur) {
         for (const NodeId w : g.neighbors(v)) {
-          if (in_frontier[w]) ++cover[w];
+          if (in_frontier.contains(w)) ++cover[w];
         }
       }
       dom_cur = minimalize_ascending(std::move(dom_cur));
@@ -277,67 +222,41 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       // (frontier nodes whose dominator count rises from 1 to 2 stop being
       // uniquely dominated).  The set must still dominate everything, so
       // candidates with zero covering gain are skipped but coverage runs to
-      // completion even at negative scores.
+      // completion even at negative scores.  Ties go to the larger covering
+      // gain, then to the earlier candidate.
       for (const NodeId y : frontier) cover[y] = 0;
       std::vector<bool> picked(n, false);
       std::size_t uncovered_left = frontier.size();
       while (uncovered_left > 0) {
-        // Chunked arg-max over (score, gain0) with the sequential
-        // lexicographic strict-improvement tie-break, combined in chunk
-        // order — picks the same candidate as the sequential scan.
-        struct Best {
-          std::int64_t score = std::numeric_limits<std::int64_t>::min();
-          std::uint32_t gain = 0;
-          NodeId v = graph::kNoNode;
-        };
-        const std::size_t slots =
-            par::chunk_slots(pool, cand.size(), kStageGrain);
-        std::vector<Best> chunk_best(slots);
-        par::for_chunks(
-            pool, cand.size(), kStageGrain,
-            [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-              Best top;
-              for (std::size_t pos = begin; pos < end; ++pos) {
-                const NodeId v = cand[pos];
-                if (picked[v]) continue;
-                std::uint32_t gain0 = 0, lose1 = 0;
-                for (const NodeId w : g.neighbors(v)) {
-                  if (!in_frontier[w]) continue;
-                  if (cover[w] == 0) {
-                    ++gain0;
-                  } else if (cover[w] == 1) {
-                    ++lose1;
-                  }
-                }
-                if (gain0 == 0) continue;  // no covering progress
-                const auto score = static_cast<std::int64_t>(gain0) -
-                                   static_cast<std::int64_t>(lose1);
-                if (score > top.score ||
-                    (score == top.score && gain0 > top.gain)) {
-                  top.score = score;
-                  top.gain = gain0;
-                  top.v = v;
-                }
-              }
-              chunk_best[chunk] = top;
-            });
         NodeId best = graph::kNoNode;
         std::int64_t best_score = std::numeric_limits<std::int64_t>::min();
         std::uint32_t best_gain = 0;
-        for (const auto& top : chunk_best) {
-          if (top.v == graph::kNoNode) continue;
-          if (top.score > best_score ||
-              (top.score == best_score && top.gain > best_gain)) {
-            best_score = top.score;
-            best_gain = top.gain;
-            best = top.v;
+        for (const NodeId v : cand) {
+          if (picked[v]) continue;
+          std::uint32_t gain0 = 0, lose1 = 0;
+          for (const NodeId w : g.neighbors(v)) {
+            if (!in_frontier.contains(w)) continue;
+            if (cover[w] == 0) {
+              ++gain0;
+            } else if (cover[w] == 1) {
+              ++lose1;
+            }
+          }
+          if (gain0 == 0) continue;  // no covering progress
+          const auto score = static_cast<std::int64_t>(gain0) -
+                             static_cast<std::int64_t>(lose1);
+          if (score > best_score ||
+              (score == best_score && gain0 > best_gain)) {
+            best_score = score;
+            best_gain = gain0;
+            best = v;
           }
         }
         RC_ASSERT(best != graph::kNoNode);
         picked[best] = true;
         dom_cur.push_back(best);
         for (const NodeId w : g.neighbors(best)) {
-          if (in_frontier[w]) {
+          if (in_frontier.contains(w)) {
             if (cover[w] == 0) --uncovered_left;
             ++cover[w];
           }
@@ -345,31 +264,7 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       }
       dom_cur = minimalize_ascending(std::move(dom_cur));
     } else {
-      order_candidates(cand, is_fresh, policy, rng);
-      // Removal-pass preprocessing (pooled path only): a candidate with a
-      // frontier neighbour already at cover < 2 can never become removable —
-      // removals only decrease cover counts — so the sequential pass below
-      // can keep it without rescanning its neighbourhood.  The flag merely
-      // short-circuits scans whose outcome is fixed; kept-set unchanged.
-      const bool preprocess =
-          par::chunk_slots(pool, cand.size(), kStageGrain) > 1;
-      if (preprocess) {
-        if (has_private.empty()) has_private.assign(n, 0);
-        par::for_chunks(pool, cand.size(), kStageGrain,
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-                          for (std::size_t pos = begin; pos < end; ++pos) {
-                            const NodeId v = cand[pos];
-                            std::uint8_t flag = 0;
-                            for (const NodeId w : g.neighbors(v)) {
-                              if (in_frontier[w] && cover[w] < 2) {
-                                flag = 1;
-                                break;
-                              }
-                            }
-                            has_private[v] = flag;
-                          }
-                        });
-      }
+      order_candidates(dom_prev, new_prev, policy, rng, cand);
       // One removal pass yields a minimal set: removability ("all my frontier
       // neighbours have >= 2 remaining dominators") is monotone — removals only
       // decrease cover counts, so a node that is kept can never become
@@ -377,19 +272,15 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       for (const NodeId v : cand) kept[v] = false;
       for (const NodeId v : cand) {
         bool removable = true;
-        if (preprocess && has_private[v]) {
-          removable = false;
-        } else {
-          for (const NodeId w : g.neighbors(v)) {
-            if (in_frontier[w] && cover[w] < 2) {
-              removable = false;
-              break;
-            }
+        for (const NodeId w : g.neighbors(v)) {
+          if (in_frontier.contains(w) && cover[w] < 2) {
+            removable = false;
+            break;
           }
         }
         if (removable) {
           for (const NodeId w : g.neighbors(v)) {
-            if (in_frontier[w]) --cover[w];
+            if (in_frontier.contains(w)) --cover[w];
           }
         } else {
           kept[v] = true;
@@ -403,11 +294,9 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
 
     // NEW_stage = frontier nodes with exactly one DOM_stage neighbour.
     std::vector<NodeId> new_cur;
-    par::collect_chunks<NodeId>(pool, frontier.size(), kStageGrain, new_cur,
-                                [&](std::size_t j, auto& part) {
-                                  const NodeId y = frontier[j];
-                                  if (cover[y] == 1) part.push_back(y);
-                                });
+    for (const NodeId y : frontier) {
+      if (cover[y] == 1) new_cur.push_back(y);
+    }
     RC_ASSERT_MSG(!new_cur.empty(), "Lemma 2.4 violated: no progress");
 
     out.dom.push_back(dom_cur);
@@ -420,10 +309,8 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
     }
 
     // Reset scratch for this stage's frontier.
-    for (const NodeId v : frontier) {
-      in_frontier[v] = false;
-      cover[v] = 0;
-    }
+    in_frontier.clear();
+    for (const NodeId v : frontier) cover[v] = 0;
 
     if (informed_count == n) {
       out.ell = stage + 1;
@@ -431,28 +318,7 @@ StageSets build_stage_sets(const Graph& g, NodeId source, DomPolicy policy,
       return out;
     }
 
-    // FRONTIER_{stage+1} = (FRONTIER_stage \ NEW_stage) ∪ (Γ(NEW_stage) ∩
-    // UNINF).  Collected with duplicates across the two chunked passes,
-    // then sort + unique — the same set the sequential seen-array dedup
-    // produced (the loop-top sort already normalized the order).
-    std::vector<NodeId> next_frontier;
-    par::collect_chunks<NodeId>(pool, frontier.size(), kStageGrain,
-                                next_frontier, [&](std::size_t j, auto& part) {
-                                  const NodeId v = frontier[j];
-                                  if (!informed[v]) part.push_back(v);
-                                });
-    par::collect_chunks<NodeId>(pool, new_cur.size(), kStageGrain,
-                                next_frontier, [&](std::size_t j, auto& part) {
-                                  for (const NodeId w :
-                                       g.neighbors(new_cur[j])) {
-                                    if (!informed[w]) part.push_back(w);
-                                  }
-                                });
-    std::sort(next_frontier.begin(), next_frontier.end());
-    next_frontier.erase(
-        std::unique(next_frontier.begin(), next_frontier.end()),
-        next_frontier.end());
-    frontier = std::move(next_frontier);
+    advance_frontier(new_cur);
     dom_prev = std::move(dom_cur);
     new_prev = std::move(new_cur);
   }

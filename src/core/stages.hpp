@@ -22,10 +22,6 @@
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
 
-namespace radiocast::par {
-class ThreadPool;
-}  // namespace radiocast::par
-
 namespace radiocast::core {
 
 using graph::Graph;
@@ -87,16 +83,11 @@ struct StageSets {
 
 /// Builds the stage sets.  Requires a connected graph (Lemma 2.4's progress
 /// guarantee needs connectivity; violated inputs trigger a contract failure).
-///
-/// When `pool` is non-null the per-stage passes (cover counts, removal-pass
-/// preprocessing, NEW_i filtering, frontier expansion, greedy arg-max scans)
-/// fan out over its workers; the output is byte-identical to the sequential
-/// path at any thread count (fixed chunk layout, chunk-order combination,
-/// exact tie-break preservation — see parallel/chunked.hpp).
+/// Serial: each stage's dominating-set reduction depends on the previous
+/// stage.
 StageSets build_stage_sets(const Graph& g, NodeId source,
                            DomPolicy policy = DomPolicy::kAscendingId,
-                           std::uint64_t seed = 0,
-                           par::ThreadPool* pool = nullptr);
+                           std::uint64_t seed = 0);
 
 /// Structural validation of already-built stage sets against the definition:
 /// Facts 2.1/2.2, Lemma 2.3 disjointness, Corollary 2.7 partition, domination

@@ -295,6 +295,8 @@ Graph random_geometric(std::uint32_t n, double radius, Rng& rng) {
   for (;;) {
     std::vector<NodeId> root(n);
     for (NodeId v = 0; v < n; ++v) root[v] = uf.find(v);
+    // Connected: the all-pairs scan below would find no pair.
+    if (std::count(root.begin(), root.end(), root[0]) == n) break;
     NodeId bu = kNoNode, bv = kNoNode;
     double best = std::numeric_limits<double>::max();
     for (NodeId u = 0; u < n; ++u) {
@@ -310,7 +312,6 @@ Graph random_geometric(std::uint32_t n, double radius, Rng& rng) {
         }
       }
     }
-    if (bu == kNoNode) break;  // already connected
     b.add_edge(bu, bv);
     uf.unite(bu, bv);
   }

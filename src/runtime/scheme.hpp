@@ -134,9 +134,9 @@ class Scheme {
 
   /// The labeling identity this scheme's plans belong to.  Schemes whose
   /// `label` computes the *same* construction share a family so one cached
-  /// (or stored) plan serves all of them: ack, common-round, and multi all
-  /// compute λ_ack and return "lambda-ack".  Default: the scheme's own name
-  /// (no sharing).  Schemes in one family must produce identical Plan
+  /// (or stored) plan serves all of them: b, ack, common-round, and multi
+  /// all run on λ_ack and return "lambda-ack".  Default: the scheme's own
+  /// name (no sharing).  Schemes in one family must produce identical Plan
   /// objects for identical (graph, source, options).
   virtual std::string_view plan_family() const noexcept { return name(); }
 

@@ -249,7 +249,7 @@ std::size_t execution_bytes(const core::CompiledExecution& e) {
 }
 
 // ---------------------------------------------------------------------------
-// λ schemes: B, B_ack, common-round (one λ/λ_ack labeling as the plan)
+// λ_ack schemes: B, B_ack, common-round (one λ_ack labeling as the plan)
 // ---------------------------------------------------------------------------
 
 struct LabelingPlan final : Plan {
@@ -283,6 +283,12 @@ class BScheme final : public Scheme {
   bool can_compile() const noexcept override { return true; }
   bool can_store_plans() const noexcept override { return true; }
 
+  /// λ_ack is λ plus x3 at z, where x1 = x2 = 0 (Fact 3.1), and B reads
+  /// only x1 and x2: B runs on the shared λ_ack plan unchanged.
+  std::string_view plan_family() const noexcept override {
+    return "lambda-ack";
+  }
+
   void encode_plan(const Plan& plan, ByteWriter& out) const override {
     encode_labeling_plan(plan, out);
   }
@@ -297,7 +303,7 @@ class BScheme final : public Scheme {
                 const SchemeOptions& opt) const override {
     auto plan = std::make_shared<LabelingPlan>();
     plan->labeling =
-        core::label_broadcast(g, source, {opt.policy, opt.seed});
+        core::label_acknowledged(g, source, {opt.policy, opt.seed});
     return plan;
   }
 
@@ -441,7 +447,7 @@ class AckScheme final : public Scheme {
   bool can_compile() const noexcept override { return true; }
   bool can_store_plans() const noexcept override { return true; }
 
-  /// One λ_ack construction serves B_ack, common-round, and multi.
+  /// One λ_ack construction serves B, B_ack, common-round, and multi.
   std::string_view plan_family() const noexcept override {
     return "lambda-ack";
   }
@@ -592,7 +598,7 @@ CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
   r.ok = p.all_informed && p.ack_round != 0;
   r.max_stamp = p.max_stamp;
   r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.execution();
+  out->exec = runner.take_execution();
   return out;
 }
 
@@ -840,7 +846,7 @@ CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,
   r.special = labeling.coordinator;
   r.label_bits = 3;
   r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.execution();
+  out->exec = runner.take_execution();
   return out;
 }
 

@@ -545,8 +545,19 @@ void expect_replay_matches_engine(const core::ReplayResult& replay,
   expect_traces_equal(replay.trace, engine.trace(), what);
 }
 
+/// Small random graphs plus sparse multi-word ones, whose agenda slots span
+/// many 64-bit words.
+std::vector<Graph> replay_graphs(std::size_t small, std::size_t multiword,
+                                 std::uint64_t seed) {
+  auto graphs = random_graphs(small, seed);
+  for (Graph& g : sparse_multiword_graphs(multiword, seed + 1)) {
+    graphs.push_back(std::move(g));
+  }
+  return graphs;
+}
+
 TEST(CompiledAck, ReplayMatchesEngineOnRandomGraphs) {
-  const auto graphs = random_graphs(40, 0xAC4);
+  const auto graphs = replay_graphs(40, 8, 0xAC4);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
     const auto n = g.node_count();
@@ -604,7 +615,7 @@ TEST(CompiledAck, RunnerAgreesWithEngineRunner) {
 // match the engine + ArbProtocol execution exactly.
 
 TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
-  const auto graphs = random_graphs(30, 0xA7B);
+  const auto graphs = replay_graphs(30, 8, 0xA7B);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
     const auto n = g.node_count();

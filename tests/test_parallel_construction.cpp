@@ -1,8 +1,9 @@
-// Differential suite for the parallel construction paths: stage sets,
-// labelings, and square coloring must be BYTE-IDENTICAL to their sequential
-// counterparts at every thread count (the determinism contract of
-// parallel/chunked.hpp).  Runs under both the `differential` and `threaded`
-// ctest labels, so the TSan job exercises the pool fan-out for data races.
+// Differential suite for the parallel square coloring: it must be
+// BYTE-IDENTICAL to the sequential coloring at every thread count (the
+// determinism contract of parallel/chunked.hpp).  Runs under both the
+// `differential` and `threaded` ctest labels, so the TSan job exercises the
+// pool fan-out for data races.  Also covers the stage-set membership bitmap
+// and the streamed sparse generator the fixtures use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,19 +11,14 @@
 #include <utility>
 #include <vector>
 
-#include "core/labeling.hpp"
 #include "core/stages.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
-#include "parallel/thread_pool.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
 namespace {
-
-using core::DomPolicy;
-using core::kAllDomPolicies;
 
 /// The structurally diverse fixture set: a long path (worst-case stage
 /// count), a grid, a random sparse gnp, a denser gnp, a random tree, and the
@@ -48,87 +44,6 @@ std::vector<std::pair<std::string, graph::Graph>> fixture_graphs() {
     out.emplace_back("sgnp", graph::sparse_gnp_connected(500, 6.0, rng));
   }
   return out;
-}
-
-void expect_same_stages(const core::StageSets& a, const core::StageSets& b,
-                        const std::string& what) {
-  EXPECT_EQ(a.dom, b.dom) << what;
-  EXPECT_EQ(a.fresh, b.fresh) << what;
-  EXPECT_EQ(a.frontier, b.frontier) << what;
-  EXPECT_EQ(a.ell, b.ell) << what;
-  EXPECT_EQ(a.stage_of, b.stage_of) << what;
-  EXPECT_EQ(a.dom_member, b.dom_member) << what;
-  EXPECT_EQ(a.source, b.source) << what;
-}
-
-TEST(ParallelStageSets, ByteIdenticalAcrossThreadCountsAndPolicies) {
-  const auto graphs = fixture_graphs();
-  par::ThreadPool pool2(2);
-  par::ThreadPool pool8(8);
-  for (const auto& [name, g] : graphs) {
-    for (const DomPolicy policy : kAllDomPolicies) {
-      const auto seq = core::build_stage_sets(g, 0, policy, 42);
-      const auto par2 = core::build_stage_sets(g, 0, policy, 42, &pool2);
-      const auto par8 = core::build_stage_sets(g, 0, policy, 42, &pool8);
-      const std::string what =
-          name + "/" + core::to_string(policy);
-      expect_same_stages(seq, par2, what + "/t2");
-      expect_same_stages(seq, par8, what + "/t8");
-    }
-  }
-}
-
-TEST(ParallelLabeling, BroadcastByteIdenticalAcrossThreadCounts) {
-  const auto graphs = fixture_graphs();
-  for (const auto& [name, g] : graphs) {
-    for (const DomPolicy policy : kAllDomPolicies) {
-      core::LabelingOptions opt;
-      opt.policy = policy;
-      opt.seed = 42;
-      opt.threads = 1;
-      const auto seq = core::label_broadcast(g, 0, opt);
-      for (const std::size_t threads : {2u, 8u}) {
-        opt.threads = threads;
-        const auto par = core::label_broadcast(g, 0, opt);
-        const std::string what = name + "/" + core::to_string(policy) +
-                                 "/t" + std::to_string(threads);
-        EXPECT_EQ(seq.labels, par.labels) << what;
-        EXPECT_EQ(seq.z, par.z) << what;
-        EXPECT_EQ(seq.source, par.source) << what;
-        expect_same_stages(seq.stages, par.stages, what);
-      }
-    }
-  }
-}
-
-TEST(ParallelLabeling, AckAndArbitraryByteIdenticalAcrossThreadCounts) {
-  // The derived schemes only add sequential post-passes on top of
-  // label_broadcast, so one policy per graph suffices here.
-  const auto graphs = fixture_graphs();
-  for (const auto& [name, g] : graphs) {
-    core::LabelingOptions seq_opt;
-    core::LabelingOptions par_opt;
-    par_opt.threads = 8;
-    const auto ack_seq = core::label_acknowledged(g, 0, seq_opt);
-    const auto ack_par = core::label_acknowledged(g, 0, par_opt);
-    EXPECT_EQ(ack_seq.labels, ack_par.labels) << name;
-    EXPECT_EQ(ack_seq.z, ack_par.z) << name;
-    const auto arb_seq = core::label_arbitrary(g, 0, seq_opt);
-    const auto arb_par = core::label_arbitrary(g, 0, par_opt);
-    EXPECT_EQ(arb_seq.labels, arb_par.labels) << name;
-    EXPECT_EQ(arb_seq.coordinator, arb_par.coordinator) << name;
-    EXPECT_EQ(arb_seq.z, arb_par.z) << name;
-  }
-}
-
-TEST(ParallelLabeling, ThreadsZeroMeansHardwareConcurrency) {
-  Rng rng(23);
-  const auto g = graph::sparse_gnp_connected(300, 5.0, rng);
-  core::LabelingOptions opt;
-  const auto seq = core::label_broadcast(g, 0, opt);
-  opt.threads = 0;
-  const auto par = core::label_broadcast(g, 0, opt);
-  EXPECT_EQ(seq.labels, par.labels);
 }
 
 TEST(ParallelColoring, ByteIdenticalAcrossThreadCounts) {

@@ -4,6 +4,7 @@
 //    strategies (scan/active-set), and ± collision detection, asserting
 //    full trace equality against the scalar × scan oracle;
 //  - compiled-replay trace equality for the label-determined schemes;
+//  - b on the shared λ_ack plan against B on a λ labeling;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
 //    worker threads) and PlanCache hit/miss accounting (labelings computed
 //    exactly once per cache key);
@@ -19,6 +20,7 @@
 #include "baselines/baselines.hpp"
 #include "baselines/beep.hpp"
 #include "core/runner.hpp"
+#include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
@@ -308,23 +310,23 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
     s.source = source;
     return s;
   };
-  // Three specs share the (b, src 0) labeling, one uses (b, src 1), two
-  // share (ack, src 0): 3 distinct keys, 6 lookups.
+  // b and ack share the λ_ack family: five specs share the src-0
+  // labeling and one uses src 1, so 2 distinct keys, 6 lookups.
   const std::vector<ExperimentSpec> batch = {spec("b", 0),   spec("b", 0),
                                              spec("b", 0),   spec("b", 1),
                                              spec("ack", 0), spec("ack", 0)};
   const auto first = runner.run(batch);
   auto stats = runner.cache_stats();
-  EXPECT_EQ(stats.plan_misses, 3u);
-  EXPECT_EQ(stats.plan_hits, 3u);
-  EXPECT_EQ(runner.cache().plan_count(), 3u);
+  EXPECT_EQ(stats.plan_misses, 2u);
+  EXPECT_EQ(stats.plan_hits, 4u);
+  EXPECT_EQ(runner.cache().plan_count(), 2u);
   for (const auto& r : first) EXPECT_TRUE(r.ok);
 
   // Identical batch again: every lookup is a warm hit.
   const auto second = runner.run(batch);
   stats = runner.cache_stats();
-  EXPECT_EQ(stats.plan_misses, 3u);
-  EXPECT_EQ(stats.plan_hits, 9u);
+  EXPECT_EQ(stats.plan_misses, 2u);
+  EXPECT_EQ(stats.plan_hits, 10u);
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].completion_round, second[i].completion_round);
     EXPECT_EQ(first[i].rounds, second[i].rounds);
@@ -335,8 +337,8 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
                                                  spec("arb", 3)};
   runner.run(arb_batch);
   stats = runner.cache_stats();
-  EXPECT_EQ(stats.plan_misses, 4u);
-  EXPECT_EQ(stats.plan_hits, 10u);
+  EXPECT_EQ(stats.plan_misses, 3u);
+  EXPECT_EQ(stats.plan_hits, 11u);
 
   // Compiled executions cache per (graph, scheme, source, µ).
   ExperimentSpec compiled = spec("b", 0);
@@ -346,7 +348,7 @@ TEST(SweepRunner, PlanCacheComputesEachKeyOnceAndCountsHits) {
   stats = runner.cache_stats();
   EXPECT_EQ(stats.compiled_misses, 1u);
   EXPECT_EQ(stats.compiled_hits, 1u);
-  EXPECT_EQ(stats.plan_misses, 4u);  // labeling reused from the cache
+  EXPECT_EQ(stats.plan_misses, 3u);  // labeling reused from the cache
   EXPECT_EQ(compiled_results[0].completion_round,
             first[0].completion_round);
 
@@ -408,13 +410,67 @@ TEST(SweepRunner, LambdaAckFamilySharesOneLabelingAcrossSchemes) {
   EXPECT_EQ(stats.plan_hits, 2u);
   EXPECT_EQ(runner.cache().plan_count(), 1u);
 
-  // B's λ is a different construction and must NOT share the family.
+  // B reads only λ_ack's x1 and x2, so it shares the family too.
   ExperimentSpec b;
   b.scheme = "b";
   b.graph = g;
   b.source = 0;
-  runner.run({b});
-  EXPECT_EQ(runner.cache_stats().plan_misses, 2u);
+  EXPECT_TRUE(runner.run({b})[0].ok);
+  EXPECT_EQ(runner.cache_stats().plan_misses, 1u);
+  EXPECT_EQ(runner.cache_stats().plan_hits, 3u);
+}
+
+// b runs on the shared λ_ack plan.  λ_ack differs from λ only by x3 at z,
+// and B reads only x1 and x2, so b (engine and compiled) must reproduce B
+// over a λ labeling round for round, and pass the Lemma 2.8 verifier.
+TEST(SchemeRegistry, BOnLambdaAckMatchesBOnLambda) {
+  Rng rng(0xB0A);
+  std::vector<Graph> graphs = differential_graphs();
+  for (int i = 0; i < 12; ++i) {
+    graphs.push_back(graph::gnp_connected(
+        5 + static_cast<std::uint32_t>(rng.below(60)), 0.15, rng));
+  }
+  graphs.push_back(graph::sparse_gnp_connected(3000, 6.0, rng));
+  graphs.push_back(graph::random_tree(2500, rng));
+  graphs.push_back(graph::grid(40, 60));
+  graphs.push_back(graph::random_geometric(2000, 0.04, rng));
+
+  const runtime::Scheme& b = *SchemeRegistry::instance().find("b");
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const auto source = static_cast<graph::NodeId>((gi * 7) % g.node_count());
+    const std::string context = "graph#" + std::to_string(gi);
+    const auto lambda = core::label_broadcast(g, source);
+    const auto lambda_ack = core::label_acknowledged(g, source);
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      const core::Label want{lambda.labels[v].x1, lambda.labels[v].x2,
+                             v == lambda_ack.z};
+      EXPECT_EQ(lambda_ack.labels[v], want) << context << " node " << v;
+    }
+
+    sim::Engine engine(g, core::make_broadcast_protocols(lambda, 42),
+                       {sim::TraceLevel::kFull});
+    engine.run_until([](const sim::Engine& e) { return e.all_informed(); },
+                     core::default_round_budget(g.node_count(), 4));
+
+    ExecutionConfig cfg;
+    cfg.trace = sim::TraceLevel::kFull;
+    for (const bool compiled : {false, true}) {
+      cfg.compiled = compiled;
+      const std::string what = context + (compiled ? " compiled" : " engine");
+      const SchemeResult run = runtime::run_scheme(b, g, source, {}, cfg);
+      EXPECT_TRUE(run.ok) << what;
+      EXPECT_EQ(run.all_informed, engine.all_informed()) << what;
+      EXPECT_EQ(run.rounds, engine.round()) << what;
+      EXPECT_EQ(run.completion_round, engine.last_first_data_reception())
+          << what;
+      EXPECT_EQ(run.tx_total, engine.transmissions_total()) << what;
+      EXPECT_EQ(run.max_node_tx, engine.max_tx_count()) << what;
+      EXPECT_EQ(run.ell, lambda.stages.ell) << what;
+      expect_trace_equal(engine.trace(), run.trace, what);
+      EXPECT_EQ(core::verify_lemma_2_8(g, lambda_ack, run.trace), "") << what;
+    }
+  }
 }
 
 }  // namespace
