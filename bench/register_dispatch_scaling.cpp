@@ -7,11 +7,6 @@
 //    than the scan (it is typically orders of magnitude faster).
 //  - dispatch/grid/<mode>: B on a sqrt(n) x sqrt(n) grid — a wider frontier
 //    (O(sqrt n) active nodes per round); recorded, not gated.
-//  - dispatch/chatter_path/tN: hint-less always-active protocols, where the
-//    active set degenerates to a full poll and the sharded decision sweep
-//    takes over: serial scan vs the pool-sharded sweep at 4 workers
-//    (recorded, not gated — the per-poll work is a single virtual call, so
-//    the sweep's win is modest and machine-dependent).
 // Correctness is cross-checked on every row: both dispatch modes must agree
 // on completion round, rounds executed, transmission totals, and informed
 // counts (the trace-level oracle lives in tests/test_dispatch.cpp).
@@ -26,7 +21,6 @@
 #include "graph/generators.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/engine.hpp"
-#include "workloads.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -111,41 +105,6 @@ void broadcast_family(Context& ctx, const std::string& family,
   }
 }
 
-/// Hint-less dense dispatch: serial scan vs the sharded decision sweep.
-/// Only meaningful at n >= kDispatchShardMinPolls — below it the 4-thread
-/// engine never shards and both runs would take the same serial path.
-void chatter_family(Context& ctx, std::uint32_t n) {
-  if (n < sim::kDispatchShardMinPolls) return;
-  const graph::Graph g = graph::path(n);
-  constexpr std::uint64_t kSteps = 24;
-  const auto hw = sim::resolve_thread_count(0);
-  // threads=1 keeps the sweep serial; threads=4 shards it (when the round
-  // clears sim::kDispatchShardMinPolls, which n >= 8192 does).
-  const auto serial = run_dense_steps(g, sim::BackendKind::kScalar, 1,
-                                      /*all_transmit=*/false, kSteps,
-                                      sim::DispatchKind::kScan);
-  const auto sharded = run_dense_steps(g, sim::BackendKind::kScalar, 4,
-                                       /*all_transmit=*/false, kSteps,
-                                       sim::DispatchKind::kScan);
-  const double speedup =
-      sharded.wall_ns ? static_cast<double>(serial.wall_ns) /
-                            static_cast<double>(sharded.wall_ns)
-                      : 0.0;
-  Sample s;
-  s.family = "dispatch/chatter_path/t4";
-  s.n = n;
-  s.m = g.edge_count();
-  s.rounds = kSteps;
-  s.transmissions = sharded.tx_total;
-  s.wall_ns = sharded.wall_ns;
-  s.ok = sharded.tx_total == serial.tx_total &&
-         sharded.rx_total == serial.rx_total;
-  s.extra = {{"speedup_vs_serial_scan", speedup},
-             {"serial_wall_ns", static_cast<double>(serial.wall_ns)},
-             {"hw_threads", static_cast<double>(hw)}};
-  ctx.record(std::move(s));
-}
-
 void run(Context& ctx) {
   // Raise the ladder into territory where the per-round scan hurts.
   std::vector<std::uint32_t> sizes;
@@ -162,9 +121,6 @@ void run(Context& ctx) {
     const auto side = static_cast<std::uint32_t>(std::sqrt(double(n)));
     broadcast_family(ctx, "grid", graph::grid(side, side),
                      /*acceptance_family=*/false);
-  }
-  for (const std::uint32_t n : sizes) {
-    chatter_family(ctx, n);
   }
 }
 

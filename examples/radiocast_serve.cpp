@@ -24,6 +24,7 @@
 // Protocol: u32-LE length-prefixed JSON frames; see src/serve/server.hpp
 // and the README's radiocast_serve section for the frame catalogue and a
 // worked example.  SIGINT/SIGTERM stop the daemon cleanly.
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -39,10 +40,11 @@
 
 namespace {
 
-radiocast::serve::Server* g_server = nullptr;
+std::atomic<radiocast::serve::Server*> g_server{nullptr};
 
+/// Only requests the stop (async-signal-safe); main's wait() performs it.
 void handle_signal(int) {
-  if (g_server != nullptr) g_server->stop();
+  if (auto* server = g_server.load()) server->request_stop();
 }
 
 int usage() {

@@ -278,16 +278,56 @@ Graph random_geometric(std::uint32_t n, double radius, Rng& rng) {
     y[i] = rng.uniform();
   }
   const double r2 = radius * radius;
+  // Bucket the points into a cells x cells grid of squares strictly wider
+  // than the radius (with a margin for rounding in the cell index), so every
+  // pair within reach sits in the same or an adjacent cell.  At most about
+  // sqrt(n) cells a side keeps the grid O(n) for tiny radii.
+  std::uint64_t cells = static_cast<std::uint64_t>(
+      std::min(1.0 / radius, 1.0 + std::sqrt(static_cast<double>(n))));
+  while (cells > 1 && static_cast<double>(cells) * radius > 1.0 - 1e-9) {
+    --cells;
+  }
+  cells = std::max<std::uint64_t>(cells, 1);
+  const auto cell_of = [cells](double c) {
+    return std::min(cells - 1, static_cast<std::uint64_t>(c * cells));
+  };
+  std::vector<std::uint32_t> start(cells * cells + 1, 0);
+  std::vector<std::uint64_t> cell(n);
+  for (NodeId v = 0; v < n; ++v) {
+    cell[v] = cell_of(y[v]) * cells + cell_of(x[v]);
+    ++start[cell[v] + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<NodeId> by_cell(n);
+  {
+    std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+    for (NodeId v = 0; v < n; ++v) by_cell[fill[cell[v]]++] = v;
+  }
   GraphBuilder b(n);
   UnionFind uf(n);
+  std::vector<NodeId> near;
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      const double dx = x[u] - x[v];
-      const double dy = y[u] - y[v];
-      if (dx * dx + dy * dy <= r2) {
-        b.add_edge(u, v);
-        uf.unite(u, v);
+    near.clear();
+    const std::uint64_t cx = cell[u] % cells;
+    const std::uint64_t cy = cell[u] / cells;
+    for (std::uint64_t gy = cy == 0 ? 0 : cy - 1;
+         gy <= std::min(cy + 1, cells - 1); ++gy) {
+      for (std::uint64_t gx = cx == 0 ? 0 : cx - 1;
+           gx <= std::min(cx + 1, cells - 1); ++gx) {
+        const std::uint64_t c = gy * cells + gx;
+        for (std::uint32_t i = start[c]; i < start[c + 1]; ++i) {
+          const NodeId v = by_cell[i];
+          if (v <= u) continue;
+          const double dx = x[u] - x[v];
+          const double dy = y[u] - y[v];
+          if (dx * dx + dy * dy <= r2) near.push_back(v);
+        }
       }
+    }
+    std::sort(near.begin(), near.end());
+    for (const NodeId v : near) {
+      b.add_edge(u, v);
+      uf.unite(u, v);
     }
   }
   // Connect components via their geometrically closest pair so the stitched

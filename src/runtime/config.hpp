@@ -24,10 +24,11 @@ namespace radiocast::runtime {
 struct ExecutionConfig {
   /// Engine round-resolution backend (kAuto picks by density and size).
   sim::BackendKind backend = sim::BackendKind::kAuto;
-  /// Protocol-dispatch strategy (kAuto = active-set iff protocols hint).
+  /// Protocol-dispatch strategy (kAuto = active-set iff the population
+  /// hints).  Anything but kScan runs a scheme's flat population when it
+  /// has one; kScan runs its per-node protocols, the reference.
   sim::DispatchKind dispatch = sim::DispatchKind::kAuto;
-  /// Worker threads for the sharded backend and the sharded decision sweep
-  /// (0 = hardware concurrency).
+  /// Worker threads for the sharded backend (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Prefer the compiled label-determined replay when the scheme has one
   /// (`Scheme::can_compile`); schemes without one fall back to the engine.

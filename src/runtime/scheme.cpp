@@ -31,6 +31,11 @@ CompiledPlanPtr Scheme::decode_compiled(support::ByteReader&) const {
   return nullptr;
 }
 
+std::unique_ptr<sim::Population> Scheme::make_population(
+    const Graph&, NodeId, const Plan&, const SchemeOptions&) const {
+  return nullptr;
+}
+
 bool Scheme::done(const sim::Engine& engine, NodeId,
                   const SchemeOptions&) const {
   return engine.all_informed();
@@ -118,8 +123,15 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
   sim::EngineOptions engine_opt = config.engine_options();
   engine_opt.collision_detection =
       config.collision_detection || scheme.needs_collision_detection();
-  sim::Engine engine(g, scheme.make_protocols(g, source, *plan, opt),
-                     engine_opt);
+  std::unique_ptr<sim::Population> population;
+  if (config.dispatch != sim::DispatchKind::kScan) {
+    population = scheme.make_population(g, source, *plan, opt);
+  }
+  if (population == nullptr) {
+    population = std::make_unique<sim::ProtocolPopulation>(
+        scheme.make_protocols(g, source, *plan, opt));
+  }
+  sim::Engine engine(g, std::move(population), engine_opt);
   const std::uint64_t budget = config.max_rounds
                                    ? config.max_rounds
                                    : scheme.round_budget(g, *plan, opt);

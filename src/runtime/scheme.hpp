@@ -10,6 +10,7 @@
 ///
 ///   label(g, source)      the centralized half; an opaque, shareable Plan
 ///   make_protocols(...)   the distributed half; one sim::Protocol per node
+///   make_population(...)  optional: the same half as one flat population
 ///   compile(...)          optional: the label-determined execution lowered
 ///                         to flat arrays (Lemma 2.8 and friends)
 ///   verify(trace)         optional: check a recorded execution against the
@@ -33,6 +34,7 @@
 #include "graph/graph.hpp"
 #include "runtime/config.hpp"
 #include "sim/engine.hpp"
+#include "sim/population.hpp"
 #include "sim/protocol.hpp"
 #include "sim/trace.hpp"
 #include "support/bytes.hpp"
@@ -106,7 +108,7 @@ struct SchemeResult {
   std::uint64_t data_tx_count = 0;  ///< B: total µ transmissions
   std::uint64_t max_node_tx = 0;    ///< worst per-node duty cycle
   std::uint64_t tx_total = 0;       ///< transmissions, all kinds
-  std::uint64_t polls = 0;       ///< on_round polls (dispatch-cost metric)
+  std::uint64_t polls = 0;       ///< node polls (dispatch-cost metric)
   std::uint32_t attempts = 0;    ///< one-bit restarts consumed
   std::uint32_t ones = 0;        ///< one-bit 1-labeled node count
   std::uint32_t label_bits = 0;  ///< bits per node the scheme needs
@@ -176,13 +178,22 @@ class Scheme {
       const Graph& g, NodeId source, const Plan& plan,
       const SchemeOptions& opt) const = 0;
 
+  /// The distributed half as one flat population (sim/population.hpp), or
+  /// nullptr (the default) to run `make_protocols`.  `run_with_plan` takes
+  /// it whenever dispatch is not kScan; kScan runs the per-node protocols,
+  /// the reference the differential suites pin populations against.
+  virtual std::unique_ptr<sim::Population> make_population(
+      const Graph& g, NodeId source, const Plan& plan,
+      const SchemeOptions& opt) const;
+
   /// The scheme's default engine round budget (used when
   /// `ExecutionConfig::max_rounds` is 0).
   virtual std::uint64_t round_budget(const Graph& g, const Plan& plan,
                                      const SchemeOptions& opt) const = 0;
 
-  /// Engine stop predicate, checked after every round.  Default: every
-  /// protocol reports informed().
+  /// Engine stop predicate, checked after every round, on either kind of
+  /// engine (population or per-node protocols).  Default: every node is
+  /// informed.
   virtual bool done(const sim::Engine& engine, NodeId source,
                     const SchemeOptions& opt) const;
 

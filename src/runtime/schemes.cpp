@@ -11,6 +11,7 @@
 #include "baselines/beep.hpp"
 #include "core/compiled_schedule.hpp"
 #include "core/multi.hpp"
+#include "core/population.hpp"
 #include "core/protocols.hpp"
 #include "core/runner.hpp"
 #include "core/verifier.hpp"
@@ -31,6 +32,19 @@ std::uint64_t theorem_bound(std::uint32_t n) {
 
 std::uint32_t bits_for(std::uint32_t values) {
   return values <= 1 ? 1u : std::bit_width(values - 1);
+}
+
+/// The engine's flat population as P, or nullptr when the engine runs
+/// per-node protocols (the kScan reference).
+template <typename P>
+const P* flat(const sim::Engine& e) {
+  return dynamic_cast<const P*>(&e.population());
+}
+
+/// Node v's protocol as P (per-node engines only).
+template <typename P>
+const P& protocol_at(const sim::Engine& e, NodeId v) {
+  return dynamic_cast<const P&>(e.protocol(v));
 }
 
 /// The multi-message schedule a spec denotes (empty payloads = one µ).
@@ -314,6 +328,13 @@ class BScheme final : public Scheme {
         static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
   }
 
+  std::unique_ptr<sim::Population> make_population(
+      const Graph&, NodeId, const Plan& plan,
+      const SchemeOptions& opt) const override {
+    return std::make_unique<core::BroadcastPopulation>(
+        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+  }
+
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
     return core::default_round_budget(g.node_count(), 4);
@@ -478,6 +499,15 @@ class AckScheme final : public Scheme {
         opt.resilient);
   }
 
+  /// Resilient retries stay per-node (AckBroadcastProtocol).
+  std::unique_ptr<sim::Population> make_population(
+      const Graph&, NodeId, const Plan& plan,
+      const SchemeOptions& opt) const override {
+    if (opt.resilient) return nullptr;
+    return std::make_unique<core::AckPopulation>(
+        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+  }
+
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
     return core::default_round_budget(g.node_count(), 6);
@@ -485,9 +515,7 @@ class AckScheme final : public Scheme {
 
   bool done(const sim::Engine& e, NodeId source,
             const SchemeOptions&) const override {
-    return dynamic_cast<const core::AckBroadcastProtocol&>(
-               e.protocol(source))
-               .ack_round() != 0;
+    return ack_round(e, source) != 0;
   }
 
   bool run_trivial(const Graph& g, NodeId, const Plan& plan,
@@ -505,9 +533,7 @@ class AckScheme final : public Scheme {
                const ExecutionConfig&, SchemeResult& out) const override {
     const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
     out.completion_round = e.last_first_data_reception();
-    out.ack_round = dynamic_cast<const core::AckBroadcastProtocol&>(
-                        e.protocol(source))
-                        .ack_round();
+    out.ack_round = ack_round(e, source);
     out.ok = out.all_informed && out.ack_round != 0;
     out.bound = theorem_bound(g.node_count());
     out.ell = labeling.stages.ell;
@@ -522,6 +548,13 @@ class AckScheme final : public Scheme {
   SchemeResult replay(const Graph& g, NodeId source,
                       const CompiledPlan& compiled,
                       const ExecutionConfig& config) const override;
+
+ private:
+  /// The source's first ack round, from either kind of engine.
+  static std::uint64_t ack_round(const sim::Engine& e, NodeId source) {
+    if (const auto* p = flat<core::AckPopulation>(e)) return p->ack_round();
+    return protocol_at<core::AckBroadcastProtocol>(e, source).ack_round();
+  }
 };
 
 struct ExecCompiledPlan final : CompiledPlan {
@@ -654,6 +687,13 @@ class CommonRoundScheme final : public Scheme {
         static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
   }
 
+  std::unique_ptr<sim::Population> make_population(
+      const Graph&, NodeId, const Plan& plan,
+      const SchemeOptions& opt) const override {
+    return std::make_unique<core::CommonRoundPopulation>(
+        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+  }
+
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
     return core::default_round_budget(g.node_count(), 10);
@@ -661,10 +701,12 @@ class CommonRoundScheme final : public Scheme {
 
   bool done(const sim::Engine& e, NodeId,
             const SchemeOptions&) const override {
+    if (const auto* p = flat<core::CommonRoundPopulation>(e)) {
+      return p->done();
+    }
+    const Protocols nodes{e};
     for (NodeId v = 0; v < e.graph().node_count(); ++v) {
-      const auto& p =
-          dynamic_cast<const core::CommonRoundProtocol&>(e.protocol(v));
-      if (p.knows_done_at() == 0) return false;
+      if (nodes.knows_done_at(v) == 0) return false;
     }
     return true;
   }
@@ -672,19 +714,37 @@ class CommonRoundScheme final : public Scheme {
   void collect(const sim::Engine& e, const Graph& g, NodeId source,
                const Plan&, const SchemeOptions&, const ExecutionConfig&,
                SchemeResult& out) const override {
-    const auto& src =
-        dynamic_cast<const core::CommonRoundProtocol&>(e.protocol(source));
-    out.done_round = src.knows_done_at();
-    out.T = out.done_round / 2;  // m
     out.completion_round = e.last_first_data_reception();
     out.label_bits = 3;
+    if (const auto* p = flat<core::CommonRoundPopulation>(e)) {
+      collect_nodes(*p, g.node_count(), source, out);
+    } else {
+      collect_nodes(Protocols{e}, g.node_count(), source, out);
+    }
+  }
+
+ private:
+  /// The per-node reference protocols, observed like the population.
+  struct Protocols {
+    const sim::Engine& e;
+    std::uint64_t knows_done_at(NodeId v) const {
+      return protocol_at<core::CommonRoundProtocol>(e, v).knows_done_at();
+    }
+    std::uint64_t learned_m_stamp(NodeId v) const {
+      return protocol_at<core::CommonRoundProtocol>(e, v).learned_m_stamp();
+    }
+  };
+
+  template <typename Nodes>
+  static void collect_nodes(const Nodes& nodes, NodeId n, NodeId source,
+                            SchemeResult& out) {
+    out.done_round = nodes.knows_done_at(source);
+    out.T = out.done_round / 2;  // m
     bool ok = out.done_round != 0;
-    for (NodeId v = 0; v < g.node_count() && ok; ++v) {
-      const auto& p =
-          dynamic_cast<const core::CommonRoundProtocol&>(e.protocol(v));
-      ok = p.knows_done_at() == out.done_round &&
-           p.learned_m_stamp() < out.done_round;
-      out.last_learned = std::max(out.last_learned, p.learned_m_stamp());
+    for (NodeId v = 0; v < n && ok; ++v) {
+      ok = nodes.knows_done_at(v) == out.done_round &&
+           nodes.learned_m_stamp(v) < out.done_round;
+      out.last_learned = std::max(out.last_learned, nodes.learned_m_stamp(v));
     }
     out.ok = ok;
   }
@@ -773,6 +833,13 @@ class ArbScheme final : public Scheme {
         static_cast<const ArbPlan&>(plan).labeling, source, opt.mu);
   }
 
+  std::unique_ptr<sim::Population> make_population(
+      const Graph&, NodeId source, const Plan& plan,
+      const SchemeOptions& opt) const override {
+    return std::make_unique<core::ArbPopulation>(
+        static_cast<const ArbPlan&>(plan).labeling, source, opt.mu);
+  }
+
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
     return core::default_round_budget(g.node_count(), 16);
@@ -780,11 +847,12 @@ class ArbScheme final : public Scheme {
 
   bool done(const sim::Engine& e, NodeId,
             const SchemeOptions&) const override {
+    if (const auto* p = flat<core::ArbPopulation>(e)) return p->done();
     // ArbProtocol::informed() is "knows µ", the first conjunct below, so
     // the engine's amortized O(1) check rejects most rounds exactly.
     if (!e.all_informed()) return false;
     for (NodeId v = 0; v < e.graph().node_count(); ++v) {
-      const auto& p = dynamic_cast<const core::ArbProtocol&>(e.protocol(v));
+      const auto& p = protocol_at<core::ArbProtocol>(e, v);
       if (!p.mu() || p.done_round() == 0) return false;
     }
     return true;
@@ -797,23 +865,11 @@ class ArbScheme final : public Scheme {
     out.completion_round = e.last_first_data_reception();
     out.max_stamp = e.max_stamp_seen();
     out.label_bits = 3;
-    bool ok = true;
-    std::uint64_t done = 0;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const auto& p = dynamic_cast<const core::ArbProtocol&>(e.protocol(v));
-      if (!p.mu() || *p.mu() != opt.mu || p.done_round() == 0) {
-        ok = false;
-        break;
-      }
-      if (done == 0) done = p.done_round();
-      if (p.done_round() != done) {
-        ok = false;
-        break;
-      }
-      if (p.is_coordinator()) out.T = p.T();
+    if (const auto* p = flat<core::ArbPopulation>(e)) {
+      collect_nodes(*p, g.node_count(), opt.mu, out);
+    } else {
+      collect_nodes(Protocols{e}, g.node_count(), opt.mu, out);
     }
-    out.ok = ok;
-    out.done_round = done;
   }
 
   CompiledPlanPtr compile(const Graph& g, NodeId source, const PlanPtr& plan,
@@ -822,6 +878,42 @@ class ArbScheme final : public Scheme {
   SchemeResult replay(const Graph& g, NodeId source,
                       const CompiledPlan& compiled,
                       const ExecutionConfig& config) const override;
+
+ private:
+  /// The per-node reference protocols, observed like the population.
+  struct Protocols {
+    const sim::Engine& e;
+    const core::ArbProtocol& at(NodeId v) const {
+      return protocol_at<core::ArbProtocol>(e, v);
+    }
+    std::optional<std::uint32_t> mu(NodeId v) const { return at(v).mu(); }
+    std::uint64_t done_round(NodeId v) const { return at(v).done_round(); }
+    std::uint64_t T(NodeId v) const { return at(v).T(); }
+    bool is_coordinator(NodeId v) const { return at(v).is_coordinator(); }
+  };
+
+  template <typename Nodes>
+  static void collect_nodes(const Nodes& nodes, NodeId n, std::uint32_t mu,
+                            SchemeResult& out) {
+    bool ok = true;
+    std::uint64_t done = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto node_mu = nodes.mu(v);
+      const std::uint64_t node_done = nodes.done_round(v);
+      if (!node_mu || *node_mu != mu || node_done == 0) {
+        ok = false;
+        break;
+      }
+      if (done == 0) done = node_done;
+      if (node_done != done) {
+        ok = false;
+        break;
+      }
+      if (nodes.is_coordinator(v)) out.T = nodes.T(v);
+    }
+    out.ok = ok;
+    out.done_round = done;
+  }
 };
 
 CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,

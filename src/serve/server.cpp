@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -59,9 +61,23 @@ bool write_all(int fd, std::string_view bytes) {
 }  // namespace
 
 Server::Server(runtime::SweepRunner& runner, ServerOptions options)
-    : runner_(runner), options_(std::move(options)) {}
+    : runner_(runner), options_(std::move(options)) {
+  RC_EXPECTS_MSG(::pipe2(wake_fds_, O_CLOEXEC | O_NONBLOCK) == 0,
+                 "pipe2() failed");
+}
 
-Server::~Server() { stop(); }
+Server::~Server() {
+  stop();
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
+}
+
+void Server::request_stop() noexcept {
+  stop_requested_.store(true);
+  const char byte = 1;
+  // A full pipe already holds a wake-up; nothing else can fail usefully.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+}
 
 void Server::start() {
   RC_EXPECTS_MSG(!running(), "server already started");
@@ -107,6 +123,11 @@ void Server::start() {
     executor_ = std::make_unique<Executor>(runner_, options_.executor);
     executor_->start();
   }
+  // Drop wake-ups left over from an earlier run of this server.
+  char drained[64];
+  while (::read(wake_fds_[0], drained, sizeof(drained)) > 0) {
+  }
+  stop_requested_.store(false);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     listen_fd_ = fd;
@@ -117,6 +138,8 @@ void Server::start() {
 }
 
 void Server::stop() {
+  const std::lock_guard<std::mutex> serial(stop_mu_);
+  request_stop();  // wakes a wait() blocked on another thread
   std::thread accept_thread;
   std::vector<std::thread> workers;
   {
@@ -137,15 +160,7 @@ void Server::stop() {
   }
   if (accept_thread.joinable()) accept_thread.join();
   for (std::thread& w : workers) {
-    if (!w.joinable()) continue;
-    // A shutdown request reaches stop() from its own connection thread;
-    // that thread cannot join itself, so it is released instead (it only
-    // has the fd teardown left to run).
-    if (w.get_id() == std::this_thread::get_id()) {
-      w.detach();
-    } else {
-      w.join();
-    }
+    if (w.joinable()) w.join();
   }
   // Drain the pipeline after the connection threads are gone: queued
   // batches still run to completion (their response writes fail on the
@@ -158,12 +173,14 @@ void Server::stop() {
     running_ = false;
   }
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
-  stopped_cv_.notify_all();
 }
 
 void Server::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  stopped_cv_.wait(lock, [this] { return !running_; });
+  while (!stop_requested_.load() && running()) {
+    pollfd wake{wake_fds_[0], POLLIN, 0};
+    if (::poll(&wake, 1, -1) < 0 && errno != EINTR) break;
+  }
+  stop();
 }
 
 bool Server::running() const {
@@ -234,8 +251,10 @@ void Server::serve_connection(const std::shared_ptr<Conn>& conn) {
   }
   ::shutdown(conn->fd, SHUT_RDWR);
   // The fd itself is closed by stop() (it stays in conns_ so shutdown can
-  // interrupt a blocked recv); nothing else to release here.
-  if (!open) stop();  // shutdown request: stop from outside the accept loop
+  // interrupt a blocked recv); nothing else to release here.  A shutdown
+  // request only asks: the owner's wait() stops the server and joins this
+  // thread.
+  if (!open) request_stop();
 }
 
 bool Server::handle(const std::shared_ptr<Conn>& conn, const Json& request) {

@@ -30,8 +30,8 @@
 ///   -> {"v":2,"type":"compact","max_bytes":N}
 ///                                       <- {"v":2,"type":"compacted",
 ///      "records_evicted":K,"records":R,"bytes":B}   (plan-store GC)
-///   -> {"v":2,"type":"shutdown"}        <- {"v":2,"type":"bye"}  (server
-///      then stops accepting and drains)
+///   -> {"v":2,"type":"shutdown"}        <- {"v":2,"type":"bye"}  (the
+///      owner's `wait()` then stops accepting and drains)
 ///
 /// Any malformed frame, unknown type, undecodable spec, unregistered
 /// scheme, or contract violation while running answers
@@ -48,10 +48,12 @@
 /// selects the legacy serial path: batches from different connections
 /// serialize on the runner mutex.  Either way each connection's responses
 /// arrive in the order it sent its batches, and results are byte-identical
-/// across paths.
+/// across paths.  Only the owning thread stops the server (`wait()`,
+/// `stop()`, the destructor); a shutdown frame or a signal merely requests
+/// it, so no thread ever joins or destroys what another is still using.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -103,10 +105,17 @@ class Server {
 
   /// Stops accepting, closes every live connection, drains the pipeline,
   /// and joins all threads.  Idempotent; also invoked by the destructor.
+  /// Owning thread only: never from a connection thread.
   void stop();
 
-  /// Blocks until stop() is called (from a shutdown request or another
-  /// thread).  The daemon main calls this after start().
+  /// Asks the owner's `wait()` to stop the server.  Async-signal-safe: an
+  /// atomic flag plus one write() to a self-pipe.
+  void request_stop() noexcept;
+
+  /// Blocks until a stop is requested (a shutdown frame, `request_stop`,
+  /// or `stop()` on another thread), then stops the server on the calling
+  /// thread.  Returns at once when the server is not running.  The daemon
+  /// main calls this after start().
   void wait();
 
   bool running() const;
@@ -161,7 +170,13 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::vector<std::shared_ptr<Conn>> conns_;
-  std::condition_variable stopped_cv_;
+
+  /// Serializes stop() bodies: a second caller returns only once the
+  /// first has joined everything.
+  std::mutex stop_mu_;
+  std::atomic<bool> stop_requested_{false};
+  /// Self-pipe waking `wait()`; the write end is non-blocking.
+  int wake_fds_[2] = {-1, -1};
 };
 
 }  // namespace radiocast::serve

@@ -9,34 +9,35 @@
 ///    simply not invoked — there is no collision-detection signal);
 ///  - a transmitting node hears nothing in that round.
 ///
-/// The engine is a thin facade over two pluggable strategies:
+/// The engine is a thin facade over three pluggable parts:
 ///
 ///  - **Round resolution** (`EngineBackend`, sim/backend.hpp): given the
 ///    transmitter set, who hears what.  Scalar CSR walk, bit-parallel dense
 ///    stepping, or the multi-core sharded variant; `EngineOptions::backend`
 ///    selects one (kAuto picks by density), every backend is bit-exact.
-///  - **Protocol dispatch** (`DispatchKind`, sim/dispatch.hpp): how the
-///    per-round decisions are collected.  `kScan` polls all n protocols
-///    every round (seed behaviour); `kActiveSet` keeps a calendar queue of
-///    wake rounds fed by the `Protocol` activity contract and polls only
-///    woken nodes, so dispatch cost tracks activity instead of n.  Dense
-///    rounds (>= `dispatch_shard_min_polls` polls with >= 2 worker threads)
-///    shard the sweep over an engine-owned thread pool with fixed node
-///    ranges concatenated in order — decisions, traces, and counters stay
-///    bit-exact with the serial scan in every mode.
+///  - **The population** (`Population`, sim/population.hpp): every node's
+///    state behind batched per-round hooks.  The engine drives exactly one:
+///    a flat population of per-node rows (the paper's algorithms), or the
+///    `ProtocolPopulation` adapter over one `sim::Protocol` per node, which
+///    the protocol-vector constructor builds.
+///  - **Protocol dispatch** (`DispatchKind`, sim/dispatch.hpp): which nodes
+///    are polled.  `kScan` polls all n every round (seed behaviour);
+///    `kActiveSet` keeps a calendar of wake rounds fed by the activity
+///    hints and polls only woken nodes, in id order, so dispatch cost
+///    tracks activity instead of n — decisions, traces, and counters stay
+///    bit-exact with the scan.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/faults.hpp"
+#include "sim/population.hpp"
 #include "sim/protocol.hpp"
 #include "sim/trace.hpp"
 
@@ -57,33 +58,36 @@ struct EngineOptions {
   bool collision_detection = false;
   /// Round-resolution backend; kAuto selects by graph density and size.
   BackendKind backend = BackendKind::kAuto;
-  /// Worker threads for the sharded backend and the sharded decision sweep
-  /// (0 = hardware concurrency).  kAuto backend selection uses it too.
+  /// Worker threads for the sharded backend (0 = hardware concurrency).
+  /// kAuto backend selection uses it too.
   std::size_t threads = 0;
-  /// Protocol-dispatch strategy; kAuto picks kActiveSet iff any protocol
-  /// provides an activity hint at construction, kScan otherwise.
+  /// Protocol-dispatch strategy; kAuto picks kActiveSet iff the population
+  /// provides activity hints at construction, kScan otherwise.
   DispatchKind dispatch = DispatchKind::kAuto;
-  /// Polls per round before the decision sweep is sharded over the dispatch
-  /// pool (needs >= 2 workers).  Exposed so tests can force the threshold.
-  std::size_t dispatch_shard_min_polls = kDispatchShardMinPolls;
   /// Deterministic fault injection (sim/faults.hpp): edge loss, crash
   /// windows, jam rounds.  Applied between backend round-resolution and
   /// delivery, so the backends stay bit-exact; a disabled plan (the default)
   /// leaves every engine code path byte-identical to the unfaulted engine.
   FaultPlan faults = {};
-  /// kActiveSet only: honor `Protocol::wants_post_hear_hint()` — re-query
-  /// `next_active_round()` after each delivered event instead of blindly
-  /// re-arming the listener for the next round.  Traces are identical either
-  /// way (the strengthened hint contract guarantees skipped polls are
-  /// no-ops); off exists for A/B measurement of the re-arm cost.
+  /// kActiveSet only: honor `Protocol::wants_post_hear_hint()` (flat
+  /// populations always opt in) — re-query the activity hint after each
+  /// delivered event instead of blindly re-arming the listener for the next
+  /// round.  Traces are identical either way (the strengthened hint
+  /// contract guarantees skipped polls are no-ops); off exists for A/B
+  /// measurement of the re-arm cost.
   bool post_hear_hint = true;
 };
 
 class Engine {
  public:
-  /// One protocol instance per vertex; `protocols[v]` runs at vertex v.
+  /// One protocol instance per vertex; `protocols[v]` runs at vertex v
+  /// (driven through a `ProtocolPopulation`).
   Engine(const graph::Graph& g,
          std::vector<std::unique_ptr<Protocol>> protocols,
+         EngineOptions options = {});
+
+  /// One population covering every vertex.
+  Engine(const graph::Graph& g, std::unique_ptr<Population> population,
          EngineOptions options = {});
 
   /// Executes one round.  Returns true iff at least one node transmitted.
@@ -110,20 +114,13 @@ class Engine {
   /// Rounds executed so far (the last completed round number, 1-based).
   std::uint64_t round() const noexcept { return round_; }
 
-  /// True iff every protocol reports `informed()`.  Amortized O(1): the
-  /// engine maintains an incremental informed counter (receptions refresh
-  /// it eagerly; informed() is monotone by contract) plus a cursor that
-  /// walks each node at most once across the whole execution — the per-call
-  /// cost is one virtual informed() probe at the first unresolved node,
-  /// matching the seed's early-exit scan without its O(n) worst case.
-  bool all_informed() const;
+  /// True iff every node is informed (the population's incremental count).
+  bool all_informed() const { return population_->all_informed(); }
 
-  /// Number of informed protocols.  Exact: lazily reconciles nodes whose
-  /// informed-ness changed inside on_round (possible in collision-detection
-  /// protocols that decode silence, e.g. the beep baseline) by probing the
-  /// still-unmarked tail — O(uninformed), never worse than the seed's full
-  /// scan.
-  std::uint32_t informed_count() const;
+  /// Number of informed nodes.
+  std::uint32_t informed_count() const {
+    return population_->informed_count();
+  }
 
   /// Round of `v`'s first successful reception of a kData message (0 = never).
   /// Maintained at every trace level.
@@ -138,8 +135,8 @@ class Engine {
   /// Total transmissions so far (all kinds).
   std::uint64_t transmissions_total() const noexcept { return tx_total_; }
 
-  /// Total `on_round()` polls issued so far — the dispatch-cost observable
-  /// the active-set strategy minimizes (kScan pays n per round).
+  /// Total node polls issued so far — the dispatch-cost observable the
+  /// active-set strategy minimizes (kScan pays n per round).
   std::uint64_t polls_total() const noexcept { return polls_total_; }
 
   /// Per-node energy accounting (always maintained): number of rounds `v`
@@ -179,14 +176,17 @@ class Engine {
   /// `trace()` would force; the engine's trace is empty afterwards.
   Trace take_trace();
 
+  /// Per-node protocol access; only for engines built from protocols.
   Protocol& protocol(NodeId v) {
-    RC_EXPECTS(v < protocols_.size());
-    return *protocols_[v];
+    RC_EXPECTS_MSG(protocols_ != nullptr, "engine runs a flat population");
+    return protocols_->protocol(v);
   }
   const Protocol& protocol(NodeId v) const {
-    RC_EXPECTS(v < protocols_.size());
-    return *protocols_[v];
+    RC_EXPECTS_MSG(protocols_ != nullptr, "engine runs a flat population");
+    return protocols_->protocol(v);
   }
+
+  const Population& population() const noexcept { return *population_; }
 
   const graph::Graph& graph() const noexcept { return graph_; }
 
@@ -198,45 +198,20 @@ class Engine {
   DispatchKind dispatch_kind() const noexcept { return dispatch_; }
 
  private:
-  /// Calendar ring size: wake rounds within this many rounds of the present
-  /// live in per-round buckets; farther wakes wait in a min-heap and are
-  /// drained into the ring as their round approaches.
-  static constexpr std::size_t kCalendarSlots = 64;
-  /// wake_round_ value: not scheduled (idle until a reception re-arms).
-  static constexpr std::uint64_t kNoWake = ~std::uint64_t{0};
-
-  /// Fills `woken_` with the ids to poll this round, ascending (kActiveSet).
-  void gather_woken();
-  /// Queues node v for an `on_round` poll in (future) round r.
-  void schedule_wake(NodeId v, std::uint64_t r);
-  /// Polls protocol v for the current round and records its decision into
-  /// the sink vectors; returns the post-poll activity hint (kActiveSet).
-  std::uint64_t poll_node(NodeId v,
-                          std::vector<std::pair<NodeId, Message>>& decisions,
-                          std::uint64_t& max_stamp);
-  /// Catches protocol v's local clock up to the current round before an
-  /// event delivery (kActiveSet; no-op when v was polled this round).
-  void sync_clock(NodeId v);
-  /// Re-arms node v after a delivered event: the blanket next-round poll, or
-  /// a fresh `next_active_round()` hint for post-hear-hint protocols.
-  void rearm_after_event(NodeId v);
-  /// Collects this round's decisions from `to_poll` (ascending ids) into
-  /// `decisions_`/`tx_ids_`, serially or sharded over the dispatch pool.
-  void collect_decisions(std::span<const NodeId> to_poll);
+  /// Polls `nodes` (ascending) for the current round into `decisions_`.
+  void poll(std::span<const NodeId> nodes) {
+    polls_total_ += nodes.size();
+    population_->poll(nodes, round_, decisions_);
+  }
   /// Filters `resolution_` through the fault session (crash suppression,
   /// Bernoulli loss, jam); `want_collisions` says whether a jammed round
   /// must materialize its all-listeners collision list.
   void apply_faults(bool want_collisions);
-  /// Marks v informed in the incremental counter if its protocol now is.
-  void refresh_informed(NodeId v) {
-    if (!informed_[v] && protocols_[v]->informed()) {
-      informed_[v] = 1;
-      ++informed_count_;
-    }
-  }
 
   const graph::Graph& graph_;
-  std::vector<std::unique_ptr<Protocol>> protocols_;
+  std::unique_ptr<Population> population_;
+  /// The adapter behind `population_` iff built from protocols.
+  ProtocolPopulation* protocols_ = nullptr;
   EngineOptions options_;
   std::unique_ptr<EngineBackend> backend_;
   Trace trace_;
@@ -250,50 +225,12 @@ class Engine {
   std::vector<std::uint64_t> tx_count_;
   std::vector<std::uint64_t> rx_count_;
 
-  // Incremental informed tracking (see all_informed()).  Mutable: the
-  // observers reconcile lazily, marking nodes whose protocols turned
-  // informed since the last delivery-time refresh.
-  mutable std::vector<std::uint8_t> informed_;
-  mutable std::size_t informed_count_ = 0;
-  mutable NodeId informed_cursor_ = 0;
-
-  // Dispatch state.  kScan polls `all_nodes_` every round; kActiveSet keeps
-  // the calendar: wake_round_[v] is the ground truth (kNoWake = idle), the
-  // ring buckets + far-wake heap index it by round with lazy deletion, and
-  // local_round_[v] tracks each protocol's clock so skipped rounds are
-  // restored via Protocol::skip_rounds before the next call.
+  // Dispatch state: kScan polls `all_nodes_` every round; kActiveSet polls
+  // what the calendar wakes.
   DispatchKind dispatch_ = DispatchKind::kScan;
-  /// True iff local_round_ clocks are maintained: kActiveSet always, and any
-  /// dispatch mode when faults are enabled (a crashed node misses polls, so
-  /// even kScan must restore its clock via skip_rounds on restart).
-  bool clocked_ = false;
-  /// resolve_thread_count(options_.threads), cached — querying hardware
-  /// concurrency is a syscall, far too slow for the per-round path.
-  std::size_t dispatch_workers_ = 1;
   std::vector<NodeId> all_nodes_;
-  /// Per-node `wants_post_hear_hint()` opt-in (kActiveSet with
-  /// `options_.post_hear_hint` only; empty otherwise): deliveries to these
-  /// nodes re-arm from a fresh hint instead of the blanket next-round poll.
-  std::vector<std::uint8_t> post_hear_;
+  std::unique_ptr<WakeCalendar> wakes_;
   std::vector<NodeId> woken_;
-  std::vector<std::uint64_t> wake_round_;
-  std::vector<std::uint64_t> local_round_;
-  std::vector<std::vector<NodeId>> calendar_;
-  std::priority_queue<std::pair<std::uint64_t, NodeId>,
-                      std::vector<std::pair<std::uint64_t, NodeId>>,
-                      std::greater<>>
-      far_wakes_;
-
-  // Sharded decision sweep: lazily created pool + per-shard reused sinks.
-  // Workers never share a sink; `hints_scratch_[i]` (parallel to the poll
-  // list) is written by exactly one worker and read serially afterwards.
-  struct SweepShard {
-    std::vector<std::pair<NodeId, Message>> decisions;
-    std::uint64_t max_stamp = 0;
-  };
-  std::unique_ptr<par::ThreadPool> dispatch_pool_;
-  std::vector<SweepShard> sweep_shards_;
-  std::vector<std::uint64_t> hints_scratch_;
 
   // Fault injection: owned session iff options_.faults.enabled(), plus
   // per-round scratch (nodes restarting this round; the kScan poll list
@@ -303,7 +240,7 @@ class Engine {
   std::vector<NodeId> scan_scratch_;
 
   // Scratch reused across rounds.
-  std::vector<std::pair<NodeId, Message>> decisions_;
+  std::vector<Decision> decisions_;
   std::vector<NodeId> tx_ids_;
   RoundResolution resolution_;
 };

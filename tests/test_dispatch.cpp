@@ -1,9 +1,9 @@
 // Differential and regression tests for the engine's protocol-dispatch
 // strategies.  The active-set dispatcher (calendar queue fed by the
-// Protocol activity contract) and the sharded decision sweep must be
-// bit-exact with the serial full scan — identical traces, counters, informed
-// rounds, and protocol-observable histories — for every paper protocol, on
-// every backend, with and without collision detection.  The silent-round
+// Protocol activity contract) must be bit-exact with the full scan —
+// identical traces, counters, informed rounds, and protocol-observable
+// histories — for every paper protocol, on every backend, with and without
+// collision detection.  The silent-round
 // fast path must do literally nothing: zero on_round() polls and zero heap
 // allocations when the calendar says nobody is awake.
 #include <gtest/gtest.h>
@@ -54,8 +54,8 @@ using graph::NodeId;
 // Helpers
 
 /// Deterministic pseudo-random talker with NO activity hint (kAlwaysActive):
-/// exercises the calendar's every-round rescheduling path and the sharded
-/// sweep on arbitrary traffic.  Mirrors test_engine_backends' HashTalker.
+/// exercises the calendar's every-round rescheduling path on arbitrary
+/// traffic.  Mirrors test_engine_backends' HashTalker.
 class HashTalker final : public sim::Protocol {
  public:
   HashTalker(std::uint64_t seed, std::uint32_t id, std::uint32_t period)
@@ -213,16 +213,13 @@ void expect_engines_equal(const sim::Engine& a, const sim::Engine& b,
 sim::EngineOptions opts(sim::DispatchKind dispatch,
                         sim::BackendKind backend = sim::BackendKind::kScalar,
                         bool collision_detection = false,
-                        std::size_t threads = 0,
-                        std::size_t shard_min_polls =
-                            sim::kDispatchShardMinPolls) {
+                        std::size_t threads = 0) {
   sim::EngineOptions o;
   o.trace = sim::TraceLevel::kFull;
   o.collision_detection = collision_detection;
   o.backend = backend;
   o.threads = threads;
   o.dispatch = dispatch;
-  o.dispatch_shard_min_polls = shard_min_polls;
   return o;
 }
 
@@ -459,67 +456,6 @@ TEST(DispatchDifferential, OneBitRunnerAgreesAcrossDispatchModes) {
     EXPECT_EQ(ack_scan.ok, ack_active.ok) << g.summary();
     EXPECT_EQ(ack_scan.ack_round, ack_active.ack_round) << g.summary();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded decision sweep: force the threshold down so the pool path runs at
-// small n, in both scan and active-set modes, and compare against the serial
-// sweep.  (Threads >= 2 plus shard_min_polls = 1 shards every round.)
-
-void run_sharded_sweep_differential(sim::DispatchKind dispatch,
-                                    bool collision_detection,
-                                    std::uint64_t seed) {
-  const auto graphs = random_graphs(20, seed);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const auto n = g.node_count();
-    const std::uint32_t period = 2 + static_cast<std::uint32_t>(i % 4);
-    sim::Engine serial(g, hash_talkers(n, seed + i, period),
-                       opts(dispatch, sim::BackendKind::kScalar,
-                            collision_detection, /*threads=*/1));
-    sim::Engine sharded(g, hash_talkers(n, seed + i, period),
-                        opts(dispatch, sim::BackendKind::kScalar,
-                             collision_detection, /*threads=*/3,
-                             /*shard_min_polls=*/1));
-    for (int r = 0; r < 20; ++r) {
-      EXPECT_EQ(serial.step(), sharded.step());
-    }
-    const std::string what = "graph " + std::to_string(i) + " " +
-                             g.summary() + " sharded sweep (" +
-                             sim::to_string(dispatch) + ")";
-    expect_engines_equal(serial, sharded, what);
-  }
-}
-
-TEST(DispatchSharded, ShardedScanMatchesSerialScan) {
-  run_sharded_sweep_differential(sim::DispatchKind::kScan, false, 0x5A1);
-  run_sharded_sweep_differential(sim::DispatchKind::kScan, true, 0x5A2);
-}
-
-TEST(DispatchSharded, ShardedActiveSetMatchesSerialActiveSet) {
-  run_sharded_sweep_differential(sim::DispatchKind::kActiveSet, false, 0x5A3);
-  run_sharded_sweep_differential(sim::DispatchKind::kActiveSet, true, 0x5A4);
-}
-
-TEST(DispatchSharded, ShardedSweepOnPaperProtocols) {
-  // B on a grid with the sweep sharded every round: the full pipeline
-  // (hints, calendar, pool sweep, backend) in one execution.
-  const Graph g = graph::grid(9, 9);
-  const auto labeling = core::label_broadcast(g, 0);
-  sim::Engine serial(g, core::make_broadcast_protocols(labeling, 3),
-                     opts(sim::DispatchKind::kActiveSet,
-                          sim::BackendKind::kScalar, false, 1));
-  sim::Engine sharded(g, core::make_broadcast_protocols(labeling, 3),
-                      opts(sim::DispatchKind::kActiveSet,
-                           sim::BackendKind::kScalar, false, 4,
-                           /*shard_min_polls=*/1));
-  const auto max_rounds = core::default_round_budget(g.node_count(), 4);
-  serial.run_until([](const sim::Engine& e) { return e.all_informed(); },
-                   max_rounds);
-  sharded.run_until([](const sim::Engine& e) { return e.all_informed(); },
-                    max_rounds);
-  ASSERT_TRUE(serial.all_informed());
-  expect_engines_equal(serial, sharded, "B sharded sweep grid 9x9");
 }
 
 // ---------------------------------------------------------------------------

@@ -238,7 +238,6 @@ TEST(Faults, SeedDeterminismAcrossBackendsThreadsAndDispatch) {
           opt.backend = backend;
           opt.threads = threads;
           opt.dispatch = dispatch;
-          opt.dispatch_shard_min_polls = 8;  // force the sharded sweep too
           opt.faults = plan;
           const auto engine = run_talkers(g, 7 + gi, kRounds, opt);
           const std::string what =

@@ -11,6 +11,7 @@
 #include "graph/coloring.hpp"
 #include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "graph/io.hpp"
 #include "graph/traversal.hpp"
 #include "support/contracts.hpp"
@@ -277,6 +278,33 @@ TEST(Generators, RandomGeometricConnectedEvenWhenSparse) {
   Rng rng(3);
   const Graph g = random_geometric(50, 0.05, rng);  // radius far too small
   EXPECT_TRUE(is_connected(g));                     // stitched
+}
+
+// The cell-grid neighbour search must reproduce the all-pairs unit-disk
+// graph exactly.  Hashes recorded from the all-pairs generator: cold-deck
+// shapes, graphs the closest-pair pass stitches together from tens to
+// hundreds of components, radii of exactly 1/k, and radii of half the
+// square or more (one cell).
+TEST(Generators, RandomGeometricMatchesPinnedHashes) {
+  const std::pair<const char*, const char*> pinned[] = {
+      {"disk:4000:0.031:12345", "abf3ab98e3a61ca8"},  // 2 components
+      {"disk:4000:0.031:777", "7a812176e3a8b715"},    // 3 components
+      {"disk:600:0.05:3", "d56924cde670d5e0"},        // 20 components
+      {"disk:300:0.05:11", "e92d0ded2215895e"},       // 84 components
+      {"disk:400:0.03:6", "57fe698dc1716a95"},        // 208 components
+      {"disk:1500:0.045:21", "4a0a66e81f3dc53e"},     // connected
+      {"disk:200:0.25:5", "ce708d242abc60fd"},
+      {"disk:64:0.25:9", "e38ec066554f5eda"},
+      {"disk:50:0.5:2", "1bea40d474ab927d"},
+      {"disk:40:0.75:8", "d826ba2f7bbd7516"},
+      {"disk:30:1.5:4", "5d41a76fba3be63a"},
+      {"disk:2:0.01:1", "505f902eddfa2326"},  // two points out of reach
+      {"disk:1:0.3:1", "392209f14dea4c24"},
+  };
+  for (const auto& [descriptor, hash] : pinned) {
+    EXPECT_EQ(hash_hex(canonical_hash(from_descriptor(descriptor))), hash)
+        << descriptor;
+  }
 }
 
 TEST(Generators, SeriesParallelConnected) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -77,8 +78,16 @@ TEST(SimdDispatch, ForceOverridesAndAutoRestores) {
     EXPECT_EQ(simd::kernels_for(simd::Isa::kAuto).isa, isa);
   }
   simd::force_isa(simd::Isa::kAuto);
-  // No RADIOCAST_FORCE_ISA in the test environment: auto = best available.
-  EXPECT_EQ(simd::active_isa(), simd::best_available());
+  // Auto = a valid RADIOCAST_FORCE_ISA (the sanitizer CI jobs pin scalar),
+  // else the best available.
+  simd::Isa expected = simd::best_available();
+  if (const char* raw = std::getenv("RADIOCAST_FORCE_ISA")) {
+    const auto pinned = simd::parse_isa(raw);
+    if (pinned && *pinned != simd::Isa::kAuto && simd::available(*pinned)) {
+      expected = *pinned;
+    }
+  }
+  EXPECT_EQ(simd::active_isa(), expected);
 }
 
 TEST(SimdDispatch, KernelTablesCarryTheirIsa) {
