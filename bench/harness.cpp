@@ -298,11 +298,12 @@ constexpr const char* kUsage =
     "  --sizes N,N,...   instance-size ladder, entries >= 8\n"
     "                    (default 16,64,256)\n"
     "  --repeat K        repetitions per scenario (default 1)\n"
-    "  --threads T       worker threads for sweeps and sharded engines\n"
-    "                    (default: hardware concurrency)\n"
+    "  --threads T       worker threads for the scenario pool; every\n"
+    "                    engine runs on one thread (default: hardware\n"
+    "                    concurrency)\n"
     "  --backend B       engine backend for engine-driving scenarios:\n"
-    "                    auto (density/size-based), scalar, bit, or\n"
-    "                    sharded (default auto)\n"
+    "                    auto (density/size-based), scalar, or bit\n"
+    "                    (default auto)\n"
     "  --dispatch D      protocol-dispatch strategy for engine-driving\n"
     "                    scenarios: auto (active-set iff protocols hint),\n"
     "                    scan, or active (default auto)\n"

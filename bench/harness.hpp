@@ -75,10 +75,6 @@ class Context {
   /// The --dispatch selection for engine-driving scenarios (default kAuto).
   sim::DispatchKind dispatch() const noexcept { return exec_.dispatch; }
 
-  /// The --threads request, for scenarios that construct sharded engines
-  /// (0 = hardware concurrency).  The sweep pool uses the same value.
-  std::size_t threads() const noexcept { return exec_.threads; }
-
   /// The --sizes ladder (default 16,64,256).  Scenarios with an intrinsic
   /// instance-size cap should clamp via `sizes(cap)`.
   const std::vector<std::uint32_t>& sizes() const { return sizes_; }

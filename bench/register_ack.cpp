@@ -25,7 +25,6 @@ void run(Context& ctx) {
           core::AckRun run;
           core::RunOptions opt;
           opt.backend = ctx.backend();
-          opt.threads = ctx.threads();
           opt.dispatch = ctx.dispatch();
           s.wall_ns = time_ns(
               [&] { run = core::run_acknowledged(w.graph, w.source, opt); });

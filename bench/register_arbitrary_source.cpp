@@ -30,7 +30,6 @@ void run(Context& ctx) {
             for (graph::NodeId src = 0; src < s.n; src += stride) {
               core::RunOptions opt;
               opt.backend = ctx.backend();
-              opt.threads = ctx.threads();
               opt.dispatch = ctx.dispatch();
               const auto run =
                   core::run_arbitrary(w.graph, src, /*coordinator=*/0, opt);

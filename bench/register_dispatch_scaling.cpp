@@ -50,7 +50,7 @@ BroadcastStep run_broadcast_mode(const graph::Graph& g,
     BroadcastStep cur;
     sim::Engine engine(g, core::make_broadcast_protocols(labeling, 42),
                        {sim::TraceLevel::kCounters, false,
-                        sim::BackendKind::kScalar, 0, dispatch});
+                        sim::BackendKind::kScalar, dispatch});
     const auto max_rounds = core::default_round_budget(g.node_count(), 4);
     cur.wall_ns = time_ns([&] {
       engine.run_until([](const sim::Engine& e) { return e.all_informed(); },

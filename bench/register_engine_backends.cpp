@@ -30,9 +30,9 @@ void step_family(Context& ctx, const std::string& family,
                  bool assert_speedup) {
   constexpr std::uint64_t kSteps = 16;
   const auto scalar =
-      run_dense_steps(g, sim::BackendKind::kScalar, 0, all_transmit, kSteps);
+      run_dense_steps(g, sim::BackendKind::kScalar, all_transmit, kSteps);
   const auto bit =
-      run_dense_steps(g, sim::BackendKind::kBit, 0, all_transmit, kSteps);
+      run_dense_steps(g, sim::BackendKind::kBit, all_transmit, kSteps);
   const bool agree =
       scalar.tx_total == bit.tx_total && scalar.rx_total == bit.rx_total;
   const double speedup = bit.wall_ns
@@ -74,7 +74,6 @@ void broadcast_family(Context& ctx, const std::string& family,
       {"scalar", {}, 0}, {"bit", {}, 0}, {"compiled", {}, 0}};
 
   core::RunOptions opt;
-  opt.threads = ctx.threads();
   opt.backend = sim::BackendKind::kScalar;
   variants[0].wall_ns =
       time_ns([&] { variants[0].run = core::run_broadcast(g, 0, opt); });

@@ -1,10 +1,10 @@
 // Macro-bench P5 — the million-node regime: streaming construction, serial
-// labeling, parallel square coloring, and a scalar-backend broadcast on a
+// labeling, serial square coloring, and a scalar-backend broadcast on a
 // sparse G(n, p) with average degree 8.  Families:
 //  - mega/build: sparse_gnp_connected via geometric-skip sampling + sorted
 //    runs (never materializes more than O(m)); ok iff connected-sized CSR.
 //  - mega/label: label_broadcast; ok iff its stage sets validate.
-//  - mega/color/tN (N in 1,8): square_coloring equality across thread counts.
+//  - mega/color: square_coloring; ok iff the coloring is distance-2 proper.
 //  - mega/broadcast: run_broadcast under kAuto (the scalar walk past the
 //    bitmap cap); ok iff all informed within the 2n-3 bound.
 // Wall budgets are per-node linear envelopes (~5x a 1-core measurement), so
@@ -80,24 +80,17 @@ void run(Context& ctx) {
       ctx.record(std::move(s));
     }
 
-    // --- mega/color/tN: parallel square coloring ------------------------
-    graph::Coloring color1;
-    for (const std::size_t threads : {1u, 8u}) {
+    // --- mega/color: serial square coloring -----------------------------
+    {
       graph::Coloring coloring;
-      const std::uint64_t wall =
-          time_ns([&] { coloring = graph::square_coloring(g, threads); });
-      if (threads == 1) color1 = std::move(coloring);
-      const bool identical =
-          threads == 1 || (coloring.color == color1.color &&
-                           coloring.count == color1.count);
-
       Sample s;
-      s.family = "mega/color/t" + std::to_string(threads);
+      s.family = "mega/color";
       s.n = n;
       s.m = g.edge_count();
-      s.wall_ns = wall;
-      s.ok = identical && wall <= budget_ns(n, kColorBudgetPerNode);
-      s.extra = {{"colors", static_cast<double>(color1.count)}};
+      s.wall_ns = time_ns([&] { coloring = graph::square_coloring(g); });
+      s.ok = graph::is_square_proper(g, coloring) &&
+             s.wall_ns <= budget_ns(n, kColorBudgetPerNode);
+      s.extra = {{"colors", static_cast<double>(coloring.count)}};
       ctx.record(std::move(s));
     }
 
@@ -107,7 +100,6 @@ void run(Context& ctx) {
       core::RunOptions opt;
       opt.backend = ctx.backend();
       opt.dispatch = ctx.dispatch();
-      opt.threads = ctx.threads();
       Sample s;
       s.family = "mega/broadcast";
       s.n = n;

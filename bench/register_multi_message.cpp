@@ -29,8 +29,7 @@ void run(Context& ctx) {
             }
             run = core::run_multi_broadcast(w.graph, w.source, payloads,
                                             core::DomPolicy::kAscendingId,
-                                            ctx.backend(), ctx.threads(),
-                                            ctx.dispatch());
+                                            ctx.backend(), ctx.dispatch());
           });
           bool periodic = run.ok;
           for (std::size_t k = 1; k < run.ack_rounds.size(); ++k) {

@@ -33,8 +33,7 @@ void run(Context& ctx) {
     std::uint64_t rounds = 0;
     s.wall_ns = time_ns([&] {
       sim::Engine engine(g, core::make_broadcast_protocols(labeling, 1),
-                         {sim::TraceLevel::kCounters, false, ctx.backend(),
-                          ctx.threads()});
+                         {sim::TraceLevel::kCounters, false, ctx.backend()});
       engine.run_until([](const sim::Engine& e) { return e.all_informed(); },
                        4ull * n + 8);
       rounds = engine.round();
@@ -53,8 +52,7 @@ void run(Context& ctx) {
       protocols.push_back(std::make_unique<Chatter>());
     }
     sim::Engine engine(g, std::move(protocols),
-                       {sim::TraceLevel::kCounters, false, ctx.backend(),
-                        ctx.threads()});
+                       {sim::TraceLevel::kCounters, false, ctx.backend()});
     constexpr std::uint64_t kSteps = 64;
     Sample s;
     s.family = "engine_step/complete";
@@ -249,7 +247,6 @@ void run(Context& ctx) {
           eopt.trace = sim::TraceLevel::kCounters;
           eopt.collision_detection = key.collision_detection;
           eopt.backend = ctx.backend();
-          eopt.threads = ctx.threads();
           eopt.dispatch = sim::DispatchKind::kActiveSet;
           eopt.post_hear_hint = hint;
           sim::Engine engine(key.g,
@@ -314,7 +311,6 @@ void run(Context& ctx) {
     s.wall_ns = time_ns([&] {
       core::RunOptions run_opt;
       run_opt.backend = ctx.backend();
-      run_opt.threads = ctx.threads();
       const auto rounds =
           par::parallel_map(ctx.pool(), graphs.size(), [&](std::size_t i) {
             return core::run_broadcast(graphs[i], 0, run_opt).completion_round;

@@ -26,8 +26,8 @@ class Chatter final : public sim::Protocol {
 };
 
 /// Transmits on a rotating 1/8 slice of the id space: rounds mix deliveries
-/// and collisions, so both resolution paths are exercised.  Shared by the
-/// engine_backends and sharded_scaling stepping families.
+/// and collisions, so both resolution paths are exercised.  Used by the
+/// engine_backends stepping families.
 class SliceTalker final : public sim::Protocol {
  public:
   explicit SliceTalker(std::uint32_t id) : id_(id) {}
@@ -57,12 +57,12 @@ struct StepResult {
 
 /// Steps `Chatter` (all_transmit) or `SliceTalker` protocols for `steps`
 /// rounds on the given backend and reports wall time plus tx/rx totals —
-/// the common measurement of the engine_backends, sharded_scaling, and
-/// dispatch_scaling stepping families.  Chatter/SliceTalker provide no
+/// the common measurement of the engine_backends and dispatch_scaling
+/// stepping families.  Chatter/SliceTalker provide no
 /// activity hints, so `dispatch` kAuto resolves to the scan.
 inline StepResult run_dense_steps(
-    const graph::Graph& g, sim::BackendKind backend, std::size_t threads,
-    bool all_transmit, std::uint64_t steps,
+    const graph::Graph& g, sim::BackendKind backend, bool all_transmit,
+    std::uint64_t steps,
     sim::DispatchKind dispatch = sim::DispatchKind::kAuto) {
   const auto n = g.node_count();
   std::vector<std::unique_ptr<sim::Protocol>> protocols;
@@ -74,9 +74,8 @@ inline StepResult run_dense_steps(
       protocols.push_back(std::make_unique<SliceTalker>(v));
     }
   }
-  sim::Engine engine(
-      g, std::move(protocols),
-      {sim::TraceLevel::kCounters, false, backend, threads, dispatch});
+  sim::Engine engine(g, std::move(protocols),
+                     {sim::TraceLevel::kCounters, false, backend, dispatch});
   StepResult out;
   out.wall_ns = time_ns([&] {
     for (std::uint64_t i = 0; i < steps; ++i) engine.step();

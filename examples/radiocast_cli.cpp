@@ -47,10 +47,9 @@ int usage() {
                "usage: radiocast_cli gen <family> [args...]\n"
                "       radiocast_cli {label|run|verify|dot} [--source N] "
                "[--scheme b|ack|arb|onebit]\n"
-               "                     [--backend "
-               "auto|scalar|bit|sharded|compiled]\n"
+               "                     [--backend auto|scalar|bit|compiled]\n"
                "                     [--dispatch auto|scan|active] "
-               "[--threads N] < edge-list\n"
+               "< edge-list\n"
                "       radiocast_cli sweep [--suite standard|quick] [--n N] "
                "[--seed S]\n"
                "                     [--schemes LIST|all] [--repeat K] "
@@ -61,8 +60,8 @@ int usage() {
                "schedule; run --scheme b|ack|arb;\n"
                "        --dispatch picks the protocol-dispatch strategy "
                "[auto = active-set when hinted];\n"
-               "        --threads sets the sharded/sweep worker count, "
-               "0 = hardware;\n"
+               "        --threads sets the sweep worker count "
+               "(engines run single-threaded), 0 = hardware;\n"
                "        --faults injects deterministic faults "
                "(run/sweep, engine path only):\n"
                "          %s\n"
@@ -242,7 +241,6 @@ int cmd_run(const graph::Graph& g, const Options& opt) {
   }
   core::RunOptions run_opt;
   run_opt.backend = opt.exec.backend;
-  run_opt.threads = opt.exec.threads;
   run_opt.dispatch = opt.exec.dispatch;
   if (opt.scheme == "b") {
     const auto run = opt.exec.compiled
@@ -283,7 +281,6 @@ int cmd_run(const graph::Graph& g, const Options& opt) {
     const auto run =
         onebit::run_onebit(g, opt.source,
                            {.engine_backend = run_opt.backend,
-                            .engine_threads = run_opt.threads,
                             .engine_dispatch = run_opt.dispatch});
     std::printf("scheme=onebit ok=%s rounds=%llu ones=%u attempts=%u\n",
                 run.ok ? "yes" : "NO",

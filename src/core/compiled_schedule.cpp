@@ -102,13 +102,12 @@ ReplayResult replay_execution(const CompiledExecution& exec,
 CompiledScheduleRunner::CompiledScheduleRunner(const Graph& g,
                                                const Labeling& labeling,
                                                std::uint32_t mu,
-                                               sim::BackendKind backend,
-                                               std::size_t threads)
+                                               sim::BackendKind backend)
     : graph_(g),
       source_(labeling.source),
       mu_(mu),
       compiled_(compile_schedule(predict_schedule(g, labeling))),
-      backend_(sim::make_engine_backend(g, backend, threads)) {}
+      backend_(sim::make_engine_backend(g, backend)) {}
 
 ReplayResult CompiledScheduleRunner::run(sim::TraceLevel level) {
   const auto n = graph_.node_count();
@@ -352,11 +351,10 @@ struct ExecutionBuilder {
 CompiledAckRunner::CompiledAckRunner(const Graph& g, const Labeling& labeling,
                                      std::uint32_t mu,
                                      sim::BackendKind backend,
-                                     std::size_t threads,
                                      std::uint64_t max_rounds)
     : graph_(g),
       source_(labeling.source),
-      backend_(sim::make_engine_backend(g, backend, threads)) {
+      backend_(sim::make_engine_backend(g, backend)) {
   const auto n = g.node_count();
   if (max_rounds == 0) {
     max_rounds = 6 * std::max<std::uint64_t>(n, 2) + 16;  // run_acknowledged
@@ -466,9 +464,8 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
                                      const ArbLabeling& labeling,
                                      NodeId source, std::uint32_t mu,
                                      sim::BackendKind backend,
-                                     std::size_t threads,
                                      std::uint64_t max_rounds)
-    : graph_(g), backend_(sim::make_engine_backend(g, backend, threads)) {
+    : graph_(g), backend_(sim::make_engine_backend(g, backend)) {
   const auto n = g.node_count();
   RC_EXPECTS_MSG(n >= 2, "B_arb needs at least two nodes");
   if (max_rounds == 0) {

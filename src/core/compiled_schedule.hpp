@@ -110,8 +110,7 @@ class CompiledScheduleRunner {
   /// predicted via `predict_schedule`).  `mu` is the payload of data rounds.
   CompiledScheduleRunner(const Graph& g, const Labeling& labeling,
                          std::uint32_t mu,
-                         sim::BackendKind backend = sim::BackendKind::kAuto,
-                         std::size_t threads = 0);
+                         sim::BackendKind backend = sim::BackendKind::kAuto);
 
   const CompiledSchedule& schedule() const noexcept { return compiled_; }
   sim::BackendKind backend_kind() const noexcept { return backend_->kind(); }
@@ -149,7 +148,7 @@ class CompiledAckRunner {
   /// budget bounds `run_until` (0 = the `run_acknowledged` default, 6n+16).
   CompiledAckRunner(const Graph& g, const Labeling& labeling, std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
-                    std::size_t threads = 0, std::uint64_t max_rounds = 0);
+                    std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
   /// Moves the execution out, leaving an empty one behind.
@@ -191,7 +190,7 @@ class CompiledArbRunner {
   CompiledArbRunner(const Graph& g, const ArbLabeling& labeling, NodeId source,
                     std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
-                    std::size_t threads = 0, std::uint64_t max_rounds = 0);
+                    std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
   /// Moves the execution out, leaving an empty one behind.

@@ -98,7 +98,6 @@ void MultiMessageProtocol::on_hear(const Message& m) {
 MultiRun run_multi_broadcast(const Graph& g, NodeId source,
                              const std::vector<std::uint32_t>& payloads,
                              DomPolicy policy, sim::BackendKind backend,
-                             std::size_t threads,
                              sim::DispatchKind dispatch) {
   // Thin forwarding wrapper over the "multi" registry scheme.
   RC_EXPECTS(g.node_count() >= 2);
@@ -108,7 +107,6 @@ MultiRun run_multi_broadcast(const Graph& g, NodeId source,
   scheme_opt.payloads = payloads;
   runtime::ExecutionConfig config;
   config.backend = backend;
-  config.threads = threads;
   config.dispatch = dispatch;
   const auto r = runtime::run_scheme("multi", g, source, scheme_opt, config);
   MultiRun out;

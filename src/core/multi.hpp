@@ -98,7 +98,6 @@ MultiRun run_multi_broadcast(
     const Graph& g, NodeId source, const std::vector<std::uint32_t>& payloads,
     DomPolicy policy = DomPolicy::kAscendingId,
     sim::BackendKind backend = sim::BackendKind::kAuto,
-    std::size_t threads = 0,
     sim::DispatchKind dispatch = sim::DispatchKind::kAuto);
 
 }  // namespace radiocast::core

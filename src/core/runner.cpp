@@ -23,7 +23,6 @@ runtime::ExecutionConfig exec_config(const RunOptions& opt,
   runtime::ExecutionConfig out;
   out.backend = opt.backend;
   out.dispatch = opt.dispatch;
-  out.threads = opt.threads;
   out.compiled = compiled;
   out.trace = compiled ? sim::TraceLevel::kCounters : opt.trace;
   out.max_rounds = opt.max_rounds;

@@ -23,8 +23,6 @@ struct RunOptions {
   std::uint32_t mu = 42;         ///< the source message µ
   /// Engine round-resolution backend (kAuto picks by density and size).
   sim::BackendKind backend = sim::BackendKind::kAuto;
-  /// Worker threads for the sharded backend (0 = hardware concurrency).
-  std::size_t threads = 0;
   /// Protocol-dispatch strategy (kAuto = active-set iff protocols hint; the
   /// paper protocols all do).  Compiled runners have no protocol dispatch
   /// and ignore it.

@@ -5,6 +5,8 @@
 /// words, so "which listeners have a transmitting neighbour" becomes word-wide
 /// OR/AND over rows instead of a per-edge scalar walk.  The n^2/8-byte cost
 /// only pays off on dense graphs; `sim::choose_backend` owns that decision.
+/// A dense graph builds its bitmap once and keeps it (`Graph::bit_adjacency`),
+/// so every engine on that graph borrows the same rows.
 /// The bitmap lives in a `support::HugeWords` buffer: multi-megabyte bitmaps
 /// get 2 MiB transparent-huge-page backing (one TLB entry per 2 MiB of row
 /// walk instead of 512), smaller ones a plain aligned allocation — contents

@@ -1,24 +1,11 @@
 #include "graph/coloring.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstddef>
-#include <optional>
 #include <vector>
-
-#include "parallel/chunked.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace radiocast::graph {
 
 namespace {
-
-/// Minimum items per chunk before a coloring pass fans out, and the wave
-/// size below which the parallel path drains the remainder sequentially
-/// (both thresholds are functions of the deterministic wave sets only, so
-/// they never change the output).
-constexpr std::size_t kColorGrain = 512;
-constexpr std::size_t kWaveFallbackMin = 128;
 
 /// Greedy color for v given the already-colored vertices: marks the colors
 /// within distance two with the stamp `v + 1` (the stamp idiom — `stamp` is
@@ -45,115 +32,15 @@ std::uint32_t greedy_color(const Graph& g,
   return c;
 }
 
-/// Colors every still-uncolored vertex in ascending id order.  Valid at any
-/// point of the wave schedule: a vertex's greedy color depends only on its
-/// smaller G²-neighbours, which the ascending scan has always finalized.
-void drain_sequential(const Graph& g, std::vector<std::uint32_t>& color,
-                      std::vector<NodeId>& stamp) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (color[v] == kNoNode) color[v] = greedy_color(g, color, v, stamp);
-  }
-}
-
-/// Wave-parallel coloring of the G² id-DAG: a vertex becomes ready once all
-/// its smaller G²-neighbours are colored; each wave is a G²-independent set,
-/// so its members can be colored concurrently and still see exactly the
-/// colors the sequential ascending-id greedy shows them.
-void color_waves(const Graph& g, par::ThreadPool& pool,
-                 std::vector<std::uint32_t>& color) {
-  const std::uint32_t n = g.node_count();
-  // indeg[w] counts, with multiplicity, the decrement events w will receive:
-  // one per enumeration of a smaller vertex v from whose finalization w is
-  // reachable as a direct neighbour or a two-step neighbour (x ∈ N(u),
-  // u ∈ N(v), x != v) — the exact mirror of the decrement pass below.
-  std::vector<std::atomic<std::uint32_t>> indeg(n);
-  par::for_chunks(&pool, n, kColorGrain,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      const NodeId w = static_cast<NodeId>(i);
-                      std::uint32_t count = 0;
-                      for (const NodeId u : g.neighbors(w)) {
-                        if (u < w) ++count;
-                        for (const NodeId v : g.neighbors(u)) {
-                          if (v != w && v < w) ++count;
-                        }
-                      }
-                      indeg[w].store(count, std::memory_order_relaxed);
-                    }
-                  });
-
-  std::vector<NodeId> wave;
-  par::collect_chunks<NodeId>(
-      &pool, n, kColorGrain, wave, [&](std::size_t i, auto& part) {
-        if (indeg[i].load(std::memory_order_relaxed) == 0) {
-          part.push_back(static_cast<NodeId>(i));
-        }
-      });
-
-  // Per-chunk stamp scratch, reused across waves (chunk indices are dense
-  // and bounded by chunk_slots' thread_count()*4 ceiling).
-  std::vector<std::vector<NodeId>> stamps(pool.thread_count() * 4);
-
-  std::size_t colored = 0;
-  while (colored < n) {
-    RC_ASSERT_MSG(!wave.empty(), "G² id-DAG wave stalled before completion");
-    if (wave.size() < kWaveFallbackMin) {
-      // Too little parallelism left to pay for fan-out: finish in one
-      // sequential ascending drain (identical colors by the DAG argument).
-      std::vector<NodeId> stamp;
-      drain_sequential(g, color, stamp);
-      return;
-    }
-    par::for_chunks(&pool, wave.size(), kColorGrain,
-                    [&](std::size_t chunk, std::size_t begin,
-                        std::size_t end) {
-                      auto& stamp = stamps[chunk];
-                      for (std::size_t j = begin; j < end; ++j) {
-                        const NodeId v = wave[j];
-                        color[v] = greedy_color(g, color, v, stamp);
-                      }
-                    });
-    colored += wave.size();
-    std::vector<NodeId> next;
-    par::collect_chunks<NodeId>(
-        &pool, wave.size(), kColorGrain, next, [&](std::size_t j, auto& part) {
-          const NodeId v = wave[j];
-          auto decrement = [&](NodeId w) {
-            if (w > v &&
-                indeg[w].fetch_sub(1, std::memory_order_relaxed) == 1) {
-              part.push_back(w);
-            }
-          };
-          for (const NodeId u : g.neighbors(v)) {
-            decrement(u);
-            for (const NodeId x : g.neighbors(u)) {
-              if (x != v) decrement(x);
-            }
-          }
-        });
-    // Which chunk performed a vertex's last decrement is scheduling-
-    // dependent; sorting restores a deterministic wave layout.
-    std::sort(next.begin(), next.end());
-    wave = std::move(next);
-  }
-}
-
 }  // namespace
 
-Coloring square_coloring(const Graph& g, std::size_t threads) {
-  const std::uint32_t n = g.node_count();
+Coloring square_coloring(const Graph& g) {
   Coloring out;
-  out.color.assign(n, kNoNode);
-  if (n == 0) return out;
-  if (threads == 1) {
-    std::vector<NodeId> stamp;
-    drain_sequential(g, out.color, stamp);
-  } else {
-    par::ThreadPool pool(threads);
-    color_waves(g, pool, out.color);
-  }
-  for (const std::uint32_t c : out.color) {
-    out.count = std::max(out.count, c + 1);
+  out.color.assign(g.node_count(), kNoNode);
+  std::vector<NodeId> stamp;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    out.color[v] = greedy_color(g, out.color, v, stamp);
+    out.count = std::max(out.count, out.color[v] + 1);
   }
   return out;
 }

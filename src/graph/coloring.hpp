@@ -21,16 +21,9 @@ struct Coloring {
   std::uint32_t count = 0;           ///< number of distinct colors
 };
 
-/// Greedy coloring of G² (vertices adjacent iff at distance 1 or 2 in G).
-/// Uses at most Δ² + 1 colors.
-///
-/// `threads`: 1 = sequential (default), 0 = hardware concurrency, k = exactly
-/// k workers.  The parallel path colors independent-set waves of the G²
-/// id-DAG (a vertex is ready once every smaller G²-neighbour is colored), so
-/// every vertex sees exactly the colors the sequential ascending-id greedy
-/// shows it — the output is byte-identical at any thread count.  Small waves
-/// fall back to draining the remainder sequentially.
-Coloring square_coloring(const Graph& g, std::size_t threads = 1);
+/// Greedy coloring of G² (vertices adjacent iff at distance 1 or 2 in G) in
+/// ascending id order.  Uses at most Δ² + 1 colors.
+Coloring square_coloring(const Graph& g);
 
 /// Verifies the distance-2 property: no two distinct vertices at distance
 /// <= 2 share a color.  Returns true iff proper.

@@ -1,9 +1,33 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <sstream>
 
+#include "graph/bit_adjacency.hpp"
+
 namespace radiocast::graph {
+
+struct Graph::BitMemo {
+  std::mutex mutex;
+  std::optional<BitAdjacency> bits;  ///< guarded by mutex; immutable once set
+};
+
+std::shared_ptr<Graph::BitMemo> Graph::new_bit_memo() {
+  return std::make_shared<BitMemo>();
+}
+
+const BitAdjacency& Graph::bit_adjacency() const {
+  const std::lock_guard lock(bit_memo_->mutex);
+  if (!bit_memo_->bits) bit_memo_->bits.emplace(*this);
+  return *bit_memo_->bits;
+}
+
+bool Graph::has_bit_adjacency() const {
+  const std::lock_guard lock(bit_memo_->mutex);
+  return bit_memo_->bits.has_value();
+}
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
   RC_EXPECTS(u < node_count() && v < node_count());

@@ -5,10 +5,13 @@
 /// simulator iterates neighbourhoods in every round, so the storage is a
 /// compressed sparse row (CSR) layout: one offsets array and one flat,
 /// per-vertex-sorted adjacency array.  Graphs are immutable after `build()`;
-/// all mutation happens in `GraphBuilder`.
+/// all mutation happens in `GraphBuilder`.  A graph can also hold a resident
+/// adjacency bitmap for the dense round-resolution backend, built at most
+/// once on first use (`Graph::bit_adjacency`).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +25,8 @@ using NodeId = std::uint32_t;
 
 /// Sentinel for "no node" / "unreached".
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+
+class BitAdjacency;
 
 /// Immutable simple undirected graph in CSR form.
 class Graph {
@@ -56,10 +61,25 @@ class Graph {
   /// Human-readable one-line summary, e.g. "Graph(n=13, m=14)".
   std::string summary() const;
 
+  /// The graph's adjacency bitmap, built by the first call and then shared
+  /// read-only by every later caller and every copy of this graph.  Racing
+  /// first calls build it once.  It costs n·⌈n/64⌉·8 bytes for the graph's
+  /// lifetime, so callers keep it to dense graphs: `sim::BitEngine` asks
+  /// only inside kAuto's bit region, where it is at most twice the CSR
+  /// adjacency array.
+  const BitAdjacency& bit_adjacency() const;
+
+  /// True iff `bit_adjacency()` has been built.
+  bool has_bit_adjacency() const;
+
  private:
   friend class GraphBuilder;
+  struct BitMemo;
+  static std::shared_ptr<BitMemo> new_bit_memo();
+
   std::vector<std::uint32_t> offsets_{0};
   std::vector<NodeId> adj_;
+  std::shared_ptr<BitMemo> bit_memo_ = new_bit_memo();
 };
 
 /// Accumulates edges, then produces a validated `Graph`.

@@ -45,8 +45,6 @@ struct OneBitOptions {
   /// Engine backend for the runners' validation executions (the labeling
   /// search itself replays closed-form dynamics and ignores this).
   sim::BackendKind engine_backend = sim::BackendKind::kAuto;
-  /// Worker threads for the sharded backend (0 = hardware concurrency).
-  std::size_t engine_threads = 0;
   /// Protocol-dispatch strategy for the validation engines.  The one-bit
   /// runners reuse the B / B_ack protocols, whose stage arithmetic provides
   /// activity hints, so kAuto resolves to the active set.

@@ -16,7 +16,6 @@ constexpr std::uint32_t kMu = 99;
 runtime::ExecutionConfig exec_config(const OneBitOptions& opt) {
   runtime::ExecutionConfig out;
   out.backend = opt.engine_backend;
-  out.threads = opt.engine_threads;
   out.dispatch = opt.engine_dispatch;
   return out;
 }

@@ -19,8 +19,8 @@
 namespace radiocast::runtime {
 
 /// How a scheme execution runs: which engine backend resolves rounds, how
-/// protocol decisions are dispatched, how many workers the sharded paths
-/// may use, and whether the label-determined compiled fast path is taken.
+/// protocol decisions are dispatched, and whether the label-determined
+/// compiled fast path is taken.
 struct ExecutionConfig {
   /// Engine round-resolution backend (kAuto picks by density and size).
   sim::BackendKind backend = sim::BackendKind::kAuto;
@@ -28,7 +28,9 @@ struct ExecutionConfig {
   /// hints).  Anything but kScan runs a scheme's flat population when it
   /// has one; kScan runs its per-node protocols, the reference.
   sim::DispatchKind dispatch = sim::DispatchKind::kAuto;
-  /// Worker threads for the sharded backend (0 = hardware concurrency).
+  /// Sweep-pool workers for the CLI front ends (0 = hardware concurrency).
+  /// Engines run single-threaded and executors size their own pools, so a
+  /// spec's value changes nothing; the field stays for wire compatibility.
   std::size_t threads = 0;
   /// Prefer the compiled label-determined replay when the scheme has one
   /// (`Scheme::can_compile`); schemes without one fall back to the engine.
@@ -58,7 +60,6 @@ struct ExecutionConfig {
     out.trace = trace;
     out.collision_detection = collision_detection;
     out.backend = backend;
-    out.threads = threads;
     out.dispatch = dispatch;
     out.faults = faults;
     return out;

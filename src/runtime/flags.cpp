@@ -15,8 +15,8 @@ FlagOutcome error(std::string message) {
 }  // namespace
 
 std::string backend_flag_values(bool allow_compiled) {
-  return allow_compiled ? "auto, scalar, bit, sharded, or compiled"
-                        : "auto, scalar, bit, or sharded";
+  return allow_compiled ? "auto, scalar, bit, or compiled"
+                        : "auto, scalar, or bit";
 }
 
 std::string dispatch_flag_values() { return "auto, scan, or active"; }

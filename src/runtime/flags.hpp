@@ -36,7 +36,7 @@ FlagOutcome parse_execution_flag(std::string_view flag, const char* value,
                                  bool allow_compiled, ExecutionConfig& config);
 
 /// The accepted `--backend` values, for usage strings:
-/// "auto, scalar, bit, or sharded" (plus compiled when allowed).
+/// "auto, scalar, or bit" (plus compiled when allowed).
 std::string backend_flag_values(bool allow_compiled);
 
 /// The accepted `--dispatch` values, for usage strings.

@@ -421,8 +421,7 @@ CompiledPlanPtr BScheme::compile(const Graph& g, NodeId, const PlanPtr& plan,
     r.ok = r.all_informed = true;
     return out;
   }
-  core::CompiledScheduleRunner runner(g, labeling, opt.mu, config.backend,
-                                      config.threads);
+  core::CompiledScheduleRunner runner(g, labeling, opt.mu, config.backend);
   const auto replay = runner.run();
   r.ok = r.all_informed = replay.all_informed;
   r.rounds = replay.rounds;
@@ -451,7 +450,7 @@ SchemeResult BScheme::replay(const Graph& g, NodeId,
   if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
     core::CompiledScheduleRunner runner(
         g, static_cast<const LabelingPlan&>(*c.plan).labeling, c.mu,
-        config.backend, config.threads);
+        config.backend);
     out.trace = runner.run(sim::TraceLevel::kFull).trace;
   }
   return out;
@@ -622,7 +621,7 @@ CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
       config.max_rounds ? config.max_rounds
                         : core::default_round_budget(g.node_count(), 6);
   core::CompiledAckRunner runner(g, labeling, opt.mu, config.backend,
-                                 config.threads, max_rounds);
+                                 max_rounds);
   const auto& p = runner.prediction();
   r.all_informed = p.all_informed;
   r.rounds = p.rounds;
@@ -641,7 +640,7 @@ SchemeResult AckScheme::replay(const Graph& g, NodeId,
   const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
   SchemeResult out = c.result;
   if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    auto backend = sim::make_engine_backend(g, config.backend, config.threads);
+    auto backend = sim::make_engine_backend(g, config.backend);
     sim::RoundResolution scratch;
     out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
                                        scratch, sim::TraceLevel::kFull)
@@ -928,7 +927,7 @@ CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,
       config.max_rounds ? config.max_rounds
                         : core::default_round_budget(g.node_count(), 16);
   core::CompiledArbRunner runner(g, labeling, source, opt.mu, config.backend,
-                                 config.threads, max_rounds);
+                                 max_rounds);
   const auto& p = runner.prediction();
   r.ok = p.ok;
   r.all_informed = p.ok;
@@ -948,7 +947,7 @@ SchemeResult ArbScheme::replay(const Graph& g, NodeId,
   const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
   SchemeResult out = c.result;
   if (config.trace == sim::TraceLevel::kFull) {
-    auto backend = sim::make_engine_backend(g, config.backend, config.threads);
+    auto backend = sim::make_engine_backend(g, config.backend);
     sim::RoundResolution scratch;
     out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
                                        scratch, sim::TraceLevel::kFull)

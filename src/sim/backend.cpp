@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <thread>
-
-#include "parallel/parallel_for.hpp"
 
 namespace radiocast::sim {
 
@@ -13,7 +10,6 @@ const char* to_string(BackendKind k) {
     case BackendKind::kAuto: return "auto";
     case BackendKind::kScalar: return "scalar";
     case BackendKind::kBit: return "bit";
-    case BackendKind::kSharded: return "sharded";
   }
   return "?";
 }
@@ -22,14 +18,7 @@ std::optional<BackendKind> parse_backend(std::string_view name) {
   if (name == "auto") return BackendKind::kAuto;
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "bit") return BackendKind::kBit;
-  if (name == "sharded") return BackendKind::kSharded;
   return std::nullopt;
-}
-
-std::size_t resolve_thread_count(std::size_t threads) noexcept {
-  if (threads != 0) return threads;
-  const auto hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 // ---------------------------------------------------------------------------
@@ -93,8 +82,14 @@ void ScalarEngine::resolve(std::span<const NodeId> transmitters,
 // BitEngine
 
 BitEngine::BitEngine(const graph::Graph& g)
-    : kernels_(&simd::active_kernels()), adj_(g) {
-  words_ = adj_.words_per_row();
+    : kernels_(&simd::active_kernels()) {
+  if (choose_backend(g, BackendKind::kAuto) == BackendKind::kBit) {
+    adj_ = &g.bit_adjacency();
+  } else {
+    private_adj_ = graph::BitAdjacency(g);
+    adj_ = &private_adj_;
+  }
+  words_ = adj_->words_per_row();
   once_.assign(words_, 0);
   twice_.assign(words_, 0);
   tx_mask_.assign(words_, 0);
@@ -115,10 +110,10 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
   // dispatched simd kernels; bit extraction below stays scalar (it is
   // bit-scan bound, not word bound).
   kernels_->accumulate_first(once_.data(), twice_.data(),
-                             adj_.row(transmitters[0]).data(), words_);
+                             adj_->row(transmitters[0]).data(), words_);
   for (std::size_t i = 1; i < transmitters.size(); ++i) {
     kernels_->accumulate(once_.data(), twice_.data(),
-                         adj_.row(transmitters[i]).data(), words_);
+                         adj_->row(transmitters[i]).data(), words_);
   }
   for (const NodeId t : transmitters) {
     tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
@@ -132,7 +127,7 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
     // bit lies in exactly one transmitter's row, so this writes each slot
     // once.  All-collision rounds skip both passes entirely.
     for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
-      const auto row = adj_.row(transmitters[i]);
+      const auto row = adj_->row(transmitters[i]);
       for (std::size_t w = 0; w < words_; ++w) {
         std::uint64_t hits = row[w] & heard_[w];
         while (hits) {
@@ -170,142 +165,9 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
 }
 
 // ---------------------------------------------------------------------------
-// ShardedBitEngine
-
-namespace {
-
-/// Words per 64-byte cache line: shard boundaries are multiples of this so
-/// no two workers store to the same line of the shared accumulators.
-constexpr std::size_t kLineWords = 8;
-
-}  // namespace
-
-ShardedBitEngine::ShardedBitEngine(const graph::Graph& g, std::size_t threads)
-    : kernels_(&simd::active_kernels()),
-      adj_(g),
-      words_(adj_.words_per_row()),
-      pool_(resolve_thread_count(threads)) {
-  once_.assign(words_, 0);
-  twice_.assign(words_, 0);
-  tx_mask_.assign(words_, 0);
-  heard_.assign(words_, 0);
-  unique_tx_index_.assign(g.node_count(), 0);
-
-  // One shard per worker, each a cache-line-aligned word range; tiny rows
-  // collapse to fewer (possibly one) shards rather than sub-line slivers.
-  const std::size_t lines = (words_ + kLineWords - 1) / kLineWords;
-  const std::size_t target =
-      std::max<std::size_t>(1, std::min(pool_.thread_count(), lines));
-  std::size_t chunk = (words_ + target - 1) / target;
-  chunk = ((chunk + kLineWords - 1) / kLineWords) * kLineWords;
-  for (std::size_t w = 0; w < words_; w += chunk) {
-    Shard s;
-    s.begin_word = w;
-    s.end_word = std::min(words_, w + chunk);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void ShardedBitEngine::resolve_shard(Shard& shard,
-                                     std::span<const NodeId> transmitters,
-                                     bool want_collisions) {
-  const std::size_t w0 = shard.begin_word;
-  const std::size_t w1 = shard.end_word;
-  const std::size_t width = w1 - w0;
-  shard.local.clear();
-
-  // Same kernel entry points as the dense BitEngine, offset to this shard's
-  // word window (the kernels take arbitrary 8-byte-aligned sub-ranges).
-  kernels_->accumulate_first(once_.data() + w0, twice_.data() + w0,
-                             adj_.row(transmitters[0]).data() + w0, width);
-  for (std::size_t i = 1; i < transmitters.size(); ++i) {
-    kernels_->accumulate(once_.data() + w0, twice_.data() + w0,
-                         adj_.row(transmitters[i]).data() + w0, width);
-  }
-
-  const std::uint64_t any_heard =
-      kernels_->heard_sweep(heard_.data() + w0, once_.data() + w0,
-                            twice_.data() + w0, tx_mask_.data() + w0, width);
-
-  if (any_heard != 0) {
-    for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
-      const auto row = adj_.row(transmitters[i]);
-      for (std::size_t w = w0; w < w1; ++w) {
-        std::uint64_t hits = row[w] & heard_[w];
-        while (hits) {
-          const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
-          hits &= hits - 1;
-          unique_tx_index_[(w << 6) + b] = i;
-        }
-      }
-    }
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t h = heard_[w];
-      while (h) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
-        h &= h - 1;
-        const auto listener = static_cast<NodeId>((w << 6) + b);
-        shard.local.deliveries.emplace_back(listener,
-                                            unique_tx_index_[listener]);
-      }
-    }
-  }
-
-  if (want_collisions) {
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t c = twice_[w] & ~tx_mask_[w];
-      while (c) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
-        c &= c - 1;
-        shard.local.collisions.push_back(static_cast<NodeId>((w << 6) + b));
-      }
-    }
-  }
-}
-
-void ShardedBitEngine::resolve(std::span<const NodeId> transmitters,
-                               bool want_collisions, RoundResolution& out) {
-  out.clear();
-  if (transmitters.empty()) return;
-
-  for (const NodeId t : transmitters) {
-    tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-  }
-
-  // Shards read shared state (rows, tx_mask_) and write disjoint word
-  // ranges of the accumulators plus their own local buffers; the
-  // parallel_for completion is the round barrier.  Small rounds run the
-  // same shard code inline — identical results, no pool round trip.
-  const bool inline_round =
-      shards_.size() <= 1 ||
-      transmitters.size() * words_ < kShardedInlineCutoffWords;
-  if (inline_round) {
-    for (auto& shard : shards_) {
-      resolve_shard(shard, transmitters, want_collisions);
-    }
-  } else {
-    par::parallel_for(pool_, shards_.size(), [&](std::size_t i) {
-      resolve_shard(shards_[i], transmitters, want_collisions);
-    });
-  }
-
-  // Deterministic reduction: concatenate in shard (= ascending word-range)
-  // order, which is ascending listener order globally.
-  for (const auto& shard : shards_) {
-    out.deliveries.insert(out.deliveries.end(), shard.local.deliveries.begin(),
-                          shard.local.deliveries.end());
-    out.collisions.insert(out.collisions.end(), shard.local.collisions.begin(),
-                          shard.local.collisions.end());
-  }
-
-  for (const NodeId t : transmitters) tx_mask_[t >> 6] = 0;
-}
-
-// ---------------------------------------------------------------------------
 // Selection
 
-BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
-                           std::size_t threads) {
+BackendKind choose_backend(const graph::Graph& g, BackendKind requested) {
   if (requested != BackendKind::kAuto) return requested;
   const auto n = g.node_count();
   if (n < 64) return BackendKind::kScalar;
@@ -316,22 +178,15 @@ BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
   // ops.  Prefer bit when the average degree exceeds the word cost.
   const double avg_degree = 2.0 * static_cast<double>(g.edge_count()) / n;
   if (avg_degree < static_cast<double>(words)) return BackendKind::kScalar;
-  // Big-enough rows amortize the round barrier: go multi-core.
-  if (n >= kShardedAutoMinNodes && resolve_thread_count(threads) >= 2) {
-    return BackendKind::kSharded;
-  }
   return BackendKind::kBit;
 }
 
 std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,
-                                                   BackendKind kind,
-                                                   std::size_t threads) {
-  switch (choose_backend(g, kind, threads)) {
-    case BackendKind::kBit: return std::make_unique<BitEngine>(g);
-    case BackendKind::kSharded:
-      return std::make_unique<ShardedBitEngine>(g, threads);
-    default: return std::make_unique<ScalarEngine>(g);
+                                                   BackendKind kind) {
+  if (choose_backend(g, kind) == BackendKind::kBit) {
+    return std::make_unique<BitEngine>(g);
   }
+  return std::make_unique<ScalarEngine>(g);
 }
 
 }  // namespace radiocast::sim

@@ -16,12 +16,9 @@
 ///    saturating accumulator (`twice |= once & row; once |= row`):
 ///    O(T * n/64) word operations per round regardless of edge count,
 ///    including the collision set (`twice` is exactly ">= 2 transmitting
-///    neighbours").
-///  - `ShardedBitEngine` is the multi-core BitEngine: the n/64-word row
-///    space is split into cache-line-aligned word-range shards, each
-///    resolved by a pool worker.  Shards are fixed disjoint ranges and the
-///    per-shard results are concatenated in shard order, so the outcome is
-///    bit-exact with `BitEngine` on any thread count.
+///    neighbours").  Inside kAuto's bit region it borrows the graph's
+///    resident bitmap (`Graph::bit_adjacency`), so a graph pays one bitmap
+///    build however many engines run on it.
 ///
 /// All backends produce listener-sorted results, so every `Engine`
 /// observable (traces, counters, delivery order) is bit-exact across them.
@@ -37,7 +34,6 @@
 
 #include "graph/bit_adjacency.hpp"
 #include "graph/graph.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/simd.hpp"
 
 namespace radiocast::sim {
@@ -46,20 +42,15 @@ using graph::NodeId;
 
 /// Which round-resolution backend an `Engine` uses.
 enum class BackendKind : std::uint8_t {
-  kAuto,     ///< pick by density/size (see `choose_backend`)
-  kScalar,   ///< CSR adjacency walk (sparse-friendly seed implementation)
-  kBit,      ///< dense bit-parallel stepping over adjacency bitmaps
-  kSharded,  ///< multi-core bit-parallel stepping over word-range shards
+  kAuto,    ///< pick by density/size (see `choose_backend`)
+  kScalar,  ///< CSR adjacency walk (sparse-friendly seed implementation)
+  kBit,     ///< dense bit-parallel stepping over adjacency bitmaps
 };
 
 const char* to_string(BackendKind k);
 
-/// Parses "auto" / "scalar" / "bit" / "sharded"; nullopt otherwise.
+/// Parses "auto" / "scalar" / "bit"; nullopt otherwise.
 std::optional<BackendKind> parse_backend(std::string_view name);
-
-/// Resolves a thread-count request: 0 means `hardware_concurrency()`
-/// (at least 1), anything else is taken verbatim.
-std::size_t resolve_thread_count(std::size_t threads) noexcept;
 
 /// Outcome of resolving one round.  Both lists are sorted by listener id and
 /// exclude transmitters.  `deliveries` pairs each hearing listener with the
@@ -133,6 +124,9 @@ class ScalarEngine final : public EngineBackend {
 /// has them, the plain-word loop otherwise — bit-exact either way.
 class BitEngine final : public EngineBackend {
  public:
+  /// Borrows `g`'s resident bitmap when kAuto would pick bit for `g`
+  /// (building it on first use), and builds a private one otherwise, so the
+  /// resident bitmaps stay within twice their graphs' CSR adjacency.
   explicit BitEngine(const graph::Graph& g);
 
   BackendKind kind() const noexcept override { return BackendKind::kBit; }
@@ -140,13 +134,14 @@ class BitEngine final : public EngineBackend {
   void resolve(std::span<const NodeId> transmitters, bool want_collisions,
                RoundResolution& out) override;
 
-  const graph::BitAdjacency& adjacency() const noexcept { return adj_; }
+  const graph::BitAdjacency& adjacency() const noexcept { return *adj_; }
   /// The kernel ISA this backend resolves with (fixed at construction).
   simd::Isa isa() const noexcept { return kernels_->isa; }
 
  private:
   const simd::Kernels* kernels_ = nullptr;
-  graph::BitAdjacency adj_;
+  graph::BitAdjacency private_adj_;  ///< empty when borrowing the graph's
+  const graph::BitAdjacency* adj_ = nullptr;
   std::size_t words_ = 0;
   std::vector<std::uint64_t> once_;     ///< >= 1 transmitting neighbour
   std::vector<std::uint64_t> twice_;    ///< >= 2 transmitting neighbours
@@ -155,82 +150,19 @@ class BitEngine final : public EngineBackend {
   std::vector<std::uint32_t> unique_tx_index_;
 };
 
-/// Multi-core dense backend: the BitEngine computation partitioned into
-/// contiguous word-range shards (cache-line aligned so no two shards touch
-/// the same 64-byte line), resolved in parallel on an engine-owned
-/// `par::ThreadPool` with a round-level barrier (`parallel_for` returns only
-/// when every shard finished).  Each shard accumulates once/twice over its
-/// word range, extracts its deliveries/collisions into a shard-local reused
-/// buffer, and the shards are concatenated in range order — listener order
-/// is globally ascending and identical to `BitEngine` regardless of thread
-/// scheduling.  Rounds whose total word work is below a cutoff run inline on
-/// the calling thread (same shard code, same results), so sharded sparse
-/// rounds stay allocation-free and never pay pool latency.
-class ShardedBitEngine final : public EngineBackend {
- public:
-  /// \param threads worker count; 0 means `hardware_concurrency()`.
-  explicit ShardedBitEngine(const graph::Graph& g, std::size_t threads = 0);
-
-  BackendKind kind() const noexcept override { return BackendKind::kSharded; }
-  const char* name() const noexcept override { return "sharded"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
-               RoundResolution& out) override;
-
-  std::size_t thread_count() const noexcept { return pool_.thread_count(); }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  const graph::BitAdjacency& adjacency() const noexcept { return adj_; }
-  /// The kernel ISA this backend resolves with (fixed at construction).
-  simd::Isa isa() const noexcept { return kernels_->isa; }
-
- private:
-  struct Shard {
-    std::size_t begin_word = 0;
-    std::size_t end_word = 0;
-    RoundResolution local;  ///< reused across rounds (allocation-free)
-  };
-
-  void resolve_shard(Shard& shard, std::span<const NodeId> transmitters,
-                     bool want_collisions);
-
-  const simd::Kernels* kernels_ = nullptr;
-  graph::BitAdjacency adj_;
-  std::size_t words_ = 0;
-  par::ThreadPool pool_;
-  std::vector<Shard> shards_;
-  std::vector<std::uint64_t> once_;
-  std::vector<std::uint64_t> twice_;
-  std::vector<std::uint64_t> tx_mask_;
-  std::vector<std::uint64_t> heard_;
-  std::vector<std::uint32_t> unique_tx_index_;
-};
-
 /// Upper bound on the adjacency bitmap a kAuto selection may allocate.
 inline constexpr std::size_t kBitBackendMemoryCap = 64u << 20;  // 64 MiB
 
-/// kAuto upgrades kBit to kSharded at this node count and above, provided
-/// at least two worker threads are available: below it a row spans so few
-/// words that the per-round barrier costs more than the split saves.
-inline constexpr std::uint32_t kShardedAutoMinNodes = 8192;
-
-/// Below this many words of round work (T * words/row), ShardedBitEngine
-/// resolves inline on the calling thread instead of fanning out.
-inline constexpr std::size_t kShardedInlineCutoffWords = 1u << 14;
-
-/// Resolves kAuto against the graph: kBit iff the bitmap fits under
-/// `kBitBackendMemoryCap` and the average degree exceeds the n/64 words a
-/// BitEngine touches per transmitter (the break-even density); kBit further
-/// upgrades to kSharded when n >= `kShardedAutoMinNodes` and
-/// `resolve_thread_count(threads) >= 2`.  Everything else, including every
-/// graph past the bitmap cap, goes kScalar.  Explicit requests are honored
-/// unchanged.
-BackendKind choose_backend(const graph::Graph& g, BackendKind requested,
-                           std::size_t threads = 0);
+/// Resolves kAuto against the graph: kBit iff n >= 64, the bitmap fits under
+/// `kBitBackendMemoryCap` and the average degree reaches the n/64 words a
+/// BitEngine touches per transmitter (the break-even density); everything
+/// else, including every graph past the bitmap cap, goes kScalar.  This bit
+/// region is also where a graph keeps its bitmap resident.  Explicit
+/// requests are honored unchanged.
+BackendKind choose_backend(const graph::Graph& g, BackendKind requested);
 
 /// Constructs the chosen backend, resolving kAuto via `choose_backend`.
-/// `threads` is the worker count for kSharded (0 = hardware concurrency);
-/// other backends ignore it.
 std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,
-                                                   BackendKind kind,
-                                                   std::size_t threads = 0);
+                                                   BackendKind kind);
 
 }  // namespace radiocast::sim

@@ -16,7 +16,7 @@ Engine::Engine(const graph::Graph& g, std::unique_ptr<Population> population,
     : graph_(g),
       population_(std::move(population)),
       options_(options),
-      backend_(make_engine_backend(g, options.backend, options.threads)) {
+      backend_(make_engine_backend(g, options.backend)) {
   RC_EXPECTS(population_ != nullptr);
   RC_EXPECTS_MSG(population_->size() == g.node_count(),
                  "one protocol per vertex required");

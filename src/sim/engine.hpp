@@ -12,9 +12,10 @@
 /// The engine is a thin facade over three pluggable parts:
 ///
 ///  - **Round resolution** (`EngineBackend`, sim/backend.hpp): given the
-///    transmitter set, who hears what.  Scalar CSR walk, bit-parallel dense
-///    stepping, or the multi-core sharded variant; `EngineOptions::backend`
-///    selects one (kAuto picks by density), every backend is bit-exact.
+///    transmitter set, who hears what.  Scalar CSR walk or bit-parallel
+///    dense stepping over the graph's resident bitmap;
+///    `EngineOptions::backend` selects one (kAuto picks by density), and
+///    both are bit-exact.
 ///  - **The population** (`Population`, sim/population.hpp): every node's
 ///    state behind batched per-round hooks.  The engine drives exactly one:
 ///    a flat population of per-node rows (the paper's algorithms), or the
@@ -57,10 +58,8 @@ struct EngineOptions {
   /// collision detection" remark is reproduced with it on.
   bool collision_detection = false;
   /// Round-resolution backend; kAuto selects by graph density and size.
+  /// An engine runs on its caller's thread: parallelism is across runs.
   BackendKind backend = BackendKind::kAuto;
-  /// Worker threads for the sharded backend (0 = hardware concurrency).
-  /// kAuto backend selection uses it too.
-  std::size_t threads = 0;
   /// Protocol-dispatch strategy; kAuto picks kActiveSet iff the population
   /// provides activity hints at construction, kScan otherwise.
   DispatchKind dispatch = DispatchKind::kAuto;

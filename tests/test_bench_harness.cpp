@@ -207,10 +207,10 @@ const std::set<std::string> kExpectedScenarios = {
     "dom_policies",  "engine_backends",     "fault_resilience",
     "fig1",          "impossibility",       "labels",
     "mega_scale",    "message_size",        "multi_message",
-    "onebit",        "serve_throughput",    "sharded_scaling",
-    "sim_throughput", "sweep_throughput"};
+    "onebit",        "serve_throughput",    "sim_throughput",
+    "sweep_throughput"};
 
-TEST(BenchRegistry, ListsAllTwentyThreeScenarios) {
+TEST(BenchRegistry, ListsAllTwentyTwoScenarios) {
   std::set<std::string> names;
   for (const auto& s : registry()) names.insert(s.name);
   EXPECT_EQ(names, kExpectedScenarios);
@@ -249,7 +249,7 @@ TEST(BenchFilter, ExactTagSelects) {
   for (const auto& s : select("micro")) names.insert(s.name);
   EXPECT_EQ(names, (std::set<std::string>{
                        "construction", "dispatch_scaling", "engine_backends",
-                       "serve_throughput", "sharded_scaling", "sim_throughput",
+                       "serve_throughput", "sim_throughput",
                        "sweep_throughput"}));
   // Tags match exactly: a tag prefix selects nothing by itself.
   EXPECT_TRUE(select("micr").empty());
@@ -263,14 +263,13 @@ TEST(BenchFilter, CommaSeparatedTermsUnion) {
 }
 
 TEST(BenchFilter, SmokeTagCoversAllScenariosExceptScaling) {
-  // The scaling scenarios (sharded_scaling, dispatch_scaling,
-  // sweep_throughput, serve_throughput, mega_scale) raise their instance
-  // sizes to n >= 4096..100000 — deliberately excluded from the smoke tier
-  // (CI runs them explicitly).
+  // The scaling scenarios (dispatch_scaling, sweep_throughput,
+  // serve_throughput, mega_scale) raise their instance sizes to
+  // n >= 4096..100000 — deliberately excluded from the smoke tier (CI runs
+  // them explicitly).
   std::set<std::string> names;
   for (const auto& s : select("smoke")) names.insert(s.name);
   auto expected = kExpectedScenarios;
-  expected.erase("sharded_scaling");
   expected.erase("dispatch_scaling");
   expected.erase("sweep_throughput");
   expected.erase("serve_throughput");
@@ -328,6 +327,9 @@ TEST(BenchCli, ParsesBackendFlag) {
   EXPECT_FALSE(parse_args(3, bogus).error.empty());
   const char* hybrid[] = {"radiocast_bench", "--backend", "hybrid"};
   EXPECT_NE(parse_args(3, hybrid).error.find("unknown backend 'hybrid'"),
+            std::string::npos);
+  const char* sharded[] = {"radiocast_bench", "--backend", "sharded"};
+  EXPECT_NE(parse_args(3, sharded).error.find("unknown backend 'sharded'"),
             std::string::npos);
   const char* missing[] = {"radiocast_bench", "--backend"};
   EXPECT_FALSE(parse_args(2, missing).error.empty());

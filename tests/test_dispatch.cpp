@@ -212,13 +212,11 @@ void expect_engines_equal(const sim::Engine& a, const sim::Engine& b,
 
 sim::EngineOptions opts(sim::DispatchKind dispatch,
                         sim::BackendKind backend = sim::BackendKind::kScalar,
-                        bool collision_detection = false,
-                        std::size_t threads = 0) {
+                        bool collision_detection = false) {
   sim::EngineOptions o;
   o.trace = sim::TraceLevel::kFull;
   o.collision_detection = collision_detection;
   o.backend = backend;
-  o.threads = threads;
   o.dispatch = dispatch;
   return o;
 }
@@ -264,7 +262,7 @@ TEST(DispatchSelection, AutoPicksActiveSetIffProtocolsHint) {
 // every-round rescheduling; scan and active-set must match exactly.
 
 void run_traffic_differential(bool collision_detection, std::uint64_t seed,
-                              sim::BackendKind backend, std::size_t threads) {
+                              sim::BackendKind backend) {
   const auto graphs = random_graphs(30, seed);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
@@ -275,8 +273,7 @@ void run_traffic_differential(bool collision_detection, std::uint64_t seed,
                           collision_detection));
     sim::Engine active(
         g, hash_talkers(n, seed + i, period),
-        opts(sim::DispatchKind::kActiveSet, backend, collision_detection,
-             threads));
+        opts(sim::DispatchKind::kActiveSet, backend, collision_detection));
     for (int r = 0; r < 24; ++r) {
       EXPECT_EQ(scan.step(), active.step());
     }
@@ -295,16 +292,16 @@ void run_traffic_differential(bool collision_detection, std::uint64_t seed,
 }
 
 TEST(DispatchDifferential, RandomTrafficScanVsActive) {
-  run_traffic_differential(false, 0xD15, sim::BackendKind::kScalar, 0);
+  run_traffic_differential(false, 0xD15, sim::BackendKind::kScalar);
 }
 
 TEST(DispatchDifferential, RandomTrafficScanVsActiveWithCollisionDetection) {
-  run_traffic_differential(true, 0xD16, sim::BackendKind::kScalar, 0);
+  run_traffic_differential(true, 0xD16, sim::BackendKind::kScalar);
 }
 
-TEST(DispatchDifferential, RandomTrafficActiveOnBitAndShardedBackends) {
-  run_traffic_differential(false, 0xD17, sim::BackendKind::kBit, 0);
-  run_traffic_differential(true, 0xD18, sim::BackendKind::kSharded, 3);
+TEST(DispatchDifferential, RandomTrafficActiveOnBitBackend) {
+  run_traffic_differential(false, 0xD17, sim::BackendKind::kBit);
+  run_traffic_differential(true, 0xD18, sim::BackendKind::kBit);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,10 +426,10 @@ TEST(DispatchDifferential, RunnersAgreeAcrossDispatchModes) {
 
     const auto multi_scan = core::run_multi_broadcast(
         g, 0, {5, 6, 7}, core::DomPolicy::kAscendingId,
-        sim::BackendKind::kAuto, 0, sim::DispatchKind::kScan);
+        sim::BackendKind::kAuto, sim::DispatchKind::kScan);
     const auto multi_active = core::run_multi_broadcast(
         g, 0, {5, 6, 7}, core::DomPolicy::kAscendingId,
-        sim::BackendKind::kAuto, 0, sim::DispatchKind::kActiveSet);
+        sim::BackendKind::kAuto, sim::DispatchKind::kActiveSet);
     EXPECT_EQ(multi_scan.ok, multi_active.ok) << g.summary();
     EXPECT_EQ(multi_scan.ack_rounds, multi_active.ack_rounds) << g.summary();
     EXPECT_EQ(multi_scan.total_rounds, multi_active.total_rounds)

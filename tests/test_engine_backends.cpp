@@ -1,13 +1,14 @@
 // Differential tests for the pluggable engine backends: the scalar CSR walk,
-// the bit-parallel dense stepper, the sharded multi-core stepper, and the
-// compiled schedule replays (Lemma 2.8 for B, the stamped-chain predictions
-// for B_ack and B_arb) must be bit-exact — identical per-round traces
-// (transmissions, deliveries, collisions), identical first-data receptions,
-// ack rounds, tx/rx counters, and stamp accounting — on randomized graphs,
-// with and without collision detection (paper §1.1: hear iff exactly one
-// neighbour transmits; transmitters hear nothing).
+// the bit-parallel dense stepper (and the graph-resident bitmap it borrows),
+// and the compiled schedule replays (Lemma 2.8 for B, the stamped-chain
+// predictions for B_ack and B_arb) must be bit-exact — identical per-round
+// traces (transmissions, deliveries, collisions), identical first-data
+// receptions, ack rounds, tx/rx counters, and stamp accounting — on
+// randomized graphs, with and without collision detection (paper §1.1: hear
+// iff exactly one neighbour transmits; transmitters hear nothing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -212,6 +213,40 @@ TEST(BitAdjacency, RowBitsAreExactlyNeighbours) {
   EXPECT_FALSE(adj.test(0, 0));
 }
 
+TEST(ResidentBitmap, BitEnginesOnOneDenseGraphBorrowOneBitmap) {
+  Rng rng(5);
+  const Graph g = graph::gnp_connected(200, 0.3, rng);
+  ASSERT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),
+            sim::BackendKind::kBit);
+  EXPECT_FALSE(g.has_bit_adjacency());
+  const sim::BitEngine first(g);
+  const sim::BitEngine second(g);
+  EXPECT_TRUE(g.has_bit_adjacency());
+  EXPECT_EQ(&first.adjacency(), &second.adjacency());
+  EXPECT_EQ(&first.adjacency(), &g.bit_adjacency());
+  // kAuto, compiled replays and engines all resolve through the same rows.
+  const auto via_auto = sim::make_engine_backend(g, sim::BackendKind::kAuto);
+  EXPECT_EQ(&dynamic_cast<const sim::BitEngine&>(*via_auto).adjacency(),
+            &first.adjacency());
+}
+
+TEST(ResidentBitmap, ExplicitBitOnASparseGraphKeepsAPrivateBitmap) {
+  // Outside kAuto's bit region an explicit kBit builds a private bitmap per
+  // engine and never fills the graph's memo.
+  const Graph g = graph::path(300);
+  ASSERT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),
+            sim::BackendKind::kScalar);
+  const sim::BitEngine first(g);
+  const sim::BitEngine second(g);
+  EXPECT_FALSE(g.has_bit_adjacency());
+  EXPECT_NE(&first.adjacency(), &second.adjacency());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto a = first.adjacency().row(v);
+    const auto b = second.adjacency().row(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Backend selection
 
@@ -221,18 +256,14 @@ TEST(BackendSelection, ExplicitRequestsAreHonored) {
             sim::BackendKind::kScalar);
   EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kBit),
             sim::BackendKind::kBit);
-  EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kSharded, 2),
-            sim::BackendKind::kSharded);
   EXPECT_EQ(sim::make_engine_backend(g, sim::BackendKind::kBit)->kind(),
             sim::BackendKind::kBit);
-  EXPECT_EQ(sim::make_engine_backend(g, sim::BackendKind::kSharded, 3)->kind(),
-            sim::BackendKind::kSharded);
 }
 
-TEST(BackendSelection, ShardedNameRoundTrips) {
-  EXPECT_STREQ(sim::to_string(sim::BackendKind::kSharded), "sharded");
-  ASSERT_TRUE(sim::parse_backend("sharded").has_value());
-  EXPECT_EQ(*sim::parse_backend("sharded"), sim::BackendKind::kSharded);
+TEST(BackendSelection, ShardedNameIsRejected) {
+  // The sharded multi-core backend is gone (engines run single-threaded);
+  // its name must not parse back into some other backend.
+  EXPECT_FALSE(sim::parse_backend("sharded").has_value());
   EXPECT_FALSE(sim::parse_backend("shard").has_value());
 }
 
@@ -245,44 +276,15 @@ TEST(BackendSelection, HybridNameIsRejected) {
 
 TEST(BackendSelection, AutoPicksScalarPastTheBitmapCap) {
   // n = 30000 and 65536 would need 107 MiB and 512 MiB bitmaps: past
-  // kBitBackendMemoryCap kAuto resolves to the scalar walk at any size and
-  // worker count.
+  // kBitBackendMemoryCap kAuto resolves to the scalar walk at any size.
   for (const std::uint32_t n : {30000u, 65536u}) {
     const Graph g = graph::path(n);
-    for (const std::size_t threads : {0u, 1u, 8u}) {
-      EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto, threads),
-                sim::BackendKind::kScalar)
-          << n << " t" << threads;
-    }
+    EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),
+              sim::BackendKind::kScalar)
+        << n;
     EXPECT_EQ(sim::make_engine_backend(g, sim::BackendKind::kAuto)->kind(),
               sim::BackendKind::kScalar)
         << n;
-  }
-}
-
-TEST(BackendSelection, AutoUpgradesToShardedOnBigDenseGraphsWithThreads) {
-  // Dense enough for bit (avg degree >= n/64 words) and n >= the sharded
-  // threshold: kAuto upgrades iff at least two workers are available.
-  Rng rng(42);
-  const Graph big = graph::gnp_connected(8192, 0.05, rng);
-  EXPECT_EQ(sim::choose_backend(big, sim::BackendKind::kAuto, 4),
-            sim::BackendKind::kSharded);
-  EXPECT_EQ(sim::choose_backend(big, sim::BackendKind::kAuto, 1),
-            sim::BackendKind::kBit);
-  // Below the size threshold the upgrade never happens, threads or not.
-  const Graph small = graph::complete(256);
-  EXPECT_EQ(sim::choose_backend(small, sim::BackendKind::kAuto, 8),
-            sim::BackendKind::kBit);
-}
-
-TEST(BackendSelection, ShardsAreCacheAlignedAndCoverAllWords) {
-  Rng rng(9);
-  const Graph g = graph::gnp_connected(300, 0.4, rng);  // 5 words per row
-  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-    sim::ShardedBitEngine engine(g, threads);
-    EXPECT_EQ(engine.thread_count(), threads);
-    EXPECT_GE(engine.shard_count(), 1u);
-    EXPECT_LE(engine.shard_count(), threads);
   }
 }
 
@@ -298,6 +300,20 @@ TEST(BackendSelection, AutoPicksByDensity) {
             sim::BackendKind::kScalar);
 }
 
+TEST(BackendSelection, AutoKeepsBigDenseGraphsOnTheBitBackend) {
+  // Engines run single-threaded, so size never moves kAuto off the bit
+  // backend: G(8192, 0.05) has average degree ~410 against 128 words per
+  // row and an 8 MiB bitmap, and resolves like the small clique does.
+  Rng rng(42);
+  const Graph big = graph::gnp_connected(8192, 0.05, rng);
+  EXPECT_EQ(sim::choose_backend(big, sim::BackendKind::kAuto),
+            sim::BackendKind::kBit);
+  EXPECT_EQ(sim::make_engine_backend(big, sim::BackendKind::kAuto)->kind(),
+            sim::BackendKind::kBit);
+  EXPECT_EQ(sim::choose_backend(graph::complete(256), sim::BackendKind::kAuto),
+            sim::BackendKind::kBit);
+}
+
 TEST(BackendSelection, EngineReportsResolvedKind) {
   const Graph g = graph::complete(256);
   sim::Engine e(g, hash_talkers(g.node_count(), 1, 4),
@@ -307,15 +323,14 @@ TEST(BackendSelection, EngineReportsResolvedKind) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar vs bit vs sharded: randomized protocol traffic, with and without
-// collision detection.  60 randomized small graphs per (mode, challenger),
-// plus sparse multi-word graphs against the bit backend.
+// Scalar vs bit: randomized protocol traffic, with and without collision
+// detection.  60 randomized small graphs per mode, plus sparse multi-word
+// graphs.
 
 void run_random_traffic_differential(const std::vector<Graph>& graphs,
                                      bool collision_detection,
                                      std::uint64_t seed,
-                                     sim::BackendKind challenger,
-                                     std::size_t threads = 0) {
+                                     sim::BackendKind challenger) {
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
     const auto n = g.node_count();
@@ -323,9 +338,9 @@ void run_random_traffic_differential(const std::vector<Graph>& graphs,
     sim::Engine scalar(g, hash_talkers(n, seed + i, period),
                        {sim::TraceLevel::kFull, collision_detection,
                         sim::BackendKind::kScalar});
-    sim::Engine other(g, hash_talkers(n, seed + i, period),
-                      {sim::TraceLevel::kFull, collision_detection, challenger,
-                       threads});
+    sim::Engine other(
+        g, hash_talkers(n, seed + i, period),
+        {sim::TraceLevel::kFull, collision_detection, challenger});
     const std::uint64_t rounds = 24;
     for (std::uint64_t r = 0; r < rounds; ++r) {
       EXPECT_EQ(scalar.step(), other.step());
@@ -371,18 +386,6 @@ TEST(BackendDifferential,
                                   sim::BackendKind::kBit);
 }
 
-TEST(BackendDifferential, RandomTrafficScalarVsSharded) {
-  run_random_traffic_differential(random_graphs(60, 0x5AAD),
-                                  /*collision_detection=*/false, 0x5AAD,
-                                  sim::BackendKind::kSharded, /*threads=*/3);
-}
-
-TEST(BackendDifferential, RandomTrafficScalarVsShardedWithCollisionDetection) {
-  run_random_traffic_differential(random_graphs(60, 0xD00D),
-                                  /*collision_detection=*/true, 0xD00D,
-                                  sim::BackendKind::kSharded, /*threads=*/4);
-}
-
 TEST(BackendDifferential, AutoBroadcastPastBitmapCapMatchesCompiled) {
   // A sparse graph past the bitmap cap, end-to-end: kAuto resolves to the
   // scalar walk, and the engine run must agree with the label-determined
@@ -422,21 +425,15 @@ TEST(BackendDifferential, BroadcastScalarVsBitVsCompiled) {
         {sim::TraceLevel::kFull, false, sim::BackendKind::kScalar});
     sim::Engine bit(g, core::make_broadcast_protocols(labeling, mu),
                     {sim::TraceLevel::kFull, false, sim::BackendKind::kBit});
-    sim::Engine sharded(
-        g, core::make_broadcast_protocols(labeling, mu),
-        {sim::TraceLevel::kFull, false, sim::BackendKind::kSharded, 3});
     const std::uint64_t max_rounds = 4ull * n + 16;
     scalar.run_until([](const sim::Engine& e) { return e.all_informed(); },
                      max_rounds);
     bit.run_until([](const sim::Engine& e) { return e.all_informed(); },
                   max_rounds);
-    sharded.run_until([](const sim::Engine& e) { return e.all_informed(); },
-                      max_rounds);
 
     const std::string what = "graph " + std::to_string(i) + " " + g.summary();
     ASSERT_TRUE(scalar.all_informed()) << what;
     expect_engines_equal(scalar, bit, what);
-    expect_engines_equal(scalar, sharded, what + " (sharded)");
 
     // The compiled replay covers exactly the rounds the engine executed.
     core::CompiledScheduleRunner compiled(g, labeling, mu,
@@ -684,16 +681,16 @@ TEST(CompiledArb, RunnerAgreesWithEngineRunner) {
   }
 }
 
-// Compiled replays must also hold up when resolved by the sharded backend.
+// Compiled replays must also hold up when resolved by the bit backend.
 TEST(CompiledAck, ReplayBackendIndependence) {
   Rng rng(31);
   const Graph g = graph::gnp_connected(70, 0.3, rng);
   const auto labeling = core::label_acknowledged(g, 0);
   core::CompiledAckRunner scalar(g, labeling, 7, sim::BackendKind::kScalar);
-  core::CompiledAckRunner sharded(g, labeling, 7, sim::BackendKind::kSharded,
-                                  3);
+  core::CompiledAckRunner bit(g, labeling, 7, sim::BackendKind::kBit);
+  ASSERT_EQ(bit.backend_kind(), sim::BackendKind::kBit);
   const auto a = scalar.run(sim::TraceLevel::kFull);
-  const auto b = sharded.run(sim::TraceLevel::kFull);
+  const auto b = bit.run(sim::TraceLevel::kFull);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.tx_total, b.tx_total);
   EXPECT_EQ(a.max_stamp, b.max_stamp);
@@ -744,10 +741,9 @@ TEST(CompiledSchedule, SingleNodeGraphReplaysTrivially) {
 TEST(CollisionDetection, SignalDeliveredIdenticallyAcrossBackends) {
   // K4: three neighbours transmitting at once → every listener collides.
   const Graph g = graph::complete(65);  // spans a word boundary
-  for (const auto kind : {sim::BackendKind::kScalar, sim::BackendKind::kBit,
-                          sim::BackendKind::kSharded}) {
+  for (const auto kind : {sim::BackendKind::kScalar, sim::BackendKind::kBit}) {
     sim::Engine e(g, hash_talkers(g.node_count(), 5, 2),
-                  {sim::TraceLevel::kFull, true, kind, 2});
+                  {sim::TraceLevel::kFull, true, kind});
     for (int r = 0; r < 8; ++r) e.step();
     std::uint64_t signals = 0, recorded = 0;
     for (NodeId v = 0; v < g.node_count(); ++v) {

@@ -3,7 +3,7 @@
 //  - FaultSession window bookkeeping (touching crash windows never produce
 //    spurious restarts; nested jam windows stay jammed);
 //  - seed determinism: the same fault plan produces bit-identical traces on
-//    every backend, at any thread count, under either dispatch strategy;
+//    every backend under either dispatch strategy;
 //  - faults-disabled (and enabled-but-harmless) runs are byte-identical to
 //    the unfaulted engine for every registry scheme;
 //  - crash/restart re-arms the calendar under kActiveSet (kScan-vs-kActiveSet
@@ -201,7 +201,7 @@ TEST(FaultSession, TouchingCrashWindowsNeverRestartInBetween) {
 }
 
 // ---------------------------------------------------------------------------
-// Seed determinism across backends, threads, and dispatch
+// Seed determinism across backends and dispatch
 
 TEST(Faults, SeedDeterminismAcrossBackendsThreadsAndDispatch) {
   Rng rng(23);
@@ -223,38 +223,31 @@ TEST(Faults, SeedDeterminismAcrossBackendsThreadsAndDispatch) {
     const Graph& g = graphs[gi];
     sim::EngineOptions ref_opt;
     ref_opt.backend = sim::BackendKind::kScalar;
-    ref_opt.threads = 1;
     ref_opt.dispatch = sim::DispatchKind::kScan;
     ref_opt.faults = plan;
     const auto ref = run_talkers(g, 7 + gi, kRounds, ref_opt);
 
     for (const sim::BackendKind backend :
-         {sim::BackendKind::kScalar, sim::BackendKind::kBit,
-          sim::BackendKind::kSharded}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const sim::DispatchKind dispatch :
-             {sim::DispatchKind::kScan, sim::DispatchKind::kActiveSet}) {
-          sim::EngineOptions opt;
-          opt.backend = backend;
-          opt.threads = threads;
-          opt.dispatch = dispatch;
-          opt.faults = plan;
-          const auto engine = run_talkers(g, 7 + gi, kRounds, opt);
-          const std::string what =
-              "graph " + std::to_string(gi) + " backend " +
-              std::to_string(static_cast<int>(backend)) + " threads " +
-              std::to_string(threads) + " dispatch " +
-              std::to_string(static_cast<int>(dispatch));
-          expect_traces_equal(ref->trace(), engine->trace(), what);
-          EXPECT_EQ(ref->faults_lost_deliveries(),
-                    engine->faults_lost_deliveries())
-              << what;
-          EXPECT_EQ(ref->faults_jammed_rounds(),
-                    engine->faults_jammed_rounds())
-              << what;
-          EXPECT_EQ(ref->transmissions_total(), engine->transmissions_total())
-              << what;
-        }
+         {sim::BackendKind::kScalar, sim::BackendKind::kBit}) {
+      for (const sim::DispatchKind dispatch :
+           {sim::DispatchKind::kScan, sim::DispatchKind::kActiveSet}) {
+        sim::EngineOptions opt;
+        opt.backend = backend;
+        opt.dispatch = dispatch;
+        opt.faults = plan;
+        const auto engine = run_talkers(g, 7 + gi, kRounds, opt);
+        const std::string what =
+            "graph " + std::to_string(gi) + " backend " +
+            std::to_string(static_cast<int>(backend)) + " dispatch " +
+            std::to_string(static_cast<int>(dispatch));
+        expect_traces_equal(ref->trace(), engine->trace(), what);
+        EXPECT_EQ(ref->faults_lost_deliveries(),
+                  engine->faults_lost_deliveries())
+            << what;
+        EXPECT_EQ(ref->faults_jammed_rounds(), engine->faults_jammed_rounds())
+            << what;
+        EXPECT_EQ(ref->transmissions_total(), engine->transmissions_total())
+            << what;
       }
     }
     // The plan actually bit: both jam rounds happened inside the horizon,

@@ -1,18 +1,17 @@
-// Differential suite for the parallel square coloring: it must be
-// BYTE-IDENTICAL to the sequential coloring at every thread count (the
-// determinism contract of parallel/chunked.hpp).  Runs under both the
-// `differential` and `threaded` ctest labels, so the TSan job exercises the
-// pool fan-out for data races.  Also covers the stage-set membership bitmap
-// and the streamed sparse generator the fixtures use.
+// Concurrent construction: racing first calls to `Graph::bit_adjacency`
+// build one resident bitmap, identical to a fresh `BitAdjacency`.  Runs under
+// both the `differential` and `threaded` ctest labels, so the TSan job
+// exercises the memo for data races.  Also covers the stage-set membership
+// bitmap and the streamed sparse generator the fixtures use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
-#include <utility>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "core/stages.hpp"
-#include "graph/coloring.hpp"
+#include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "support/rng.hpp"
@@ -20,43 +19,41 @@
 namespace radiocast {
 namespace {
 
-/// The structurally diverse fixture set: a long path (worst-case stage
-/// count), a grid, a random sparse gnp, a denser gnp, a random tree, and the
-/// streamed sparse generator itself.
-std::vector<std::pair<std::string, graph::Graph>> fixture_graphs() {
-  std::vector<std::pair<std::string, graph::Graph>> out;
-  out.emplace_back("path", graph::path(257));
-  out.emplace_back("grid", graph::grid(17, 19));
-  {
-    Rng rng(7);
-    out.emplace_back("gnp_sparse", graph::gnp_connected(300, 0.02, rng));
+void expect_rows_equal(const graph::BitAdjacency& a,
+                       const graph::BitAdjacency& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.words_per_row(), b.words_per_row());
+  for (graph::NodeId v = 0; v < a.node_count(); ++v) {
+    const auto ra = a.row(v);
+    const auto rb = b.row(v);
+    ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end())) << v;
   }
-  {
-    Rng rng(11);
-    out.emplace_back("gnp_dense", graph::gnp_connected(160, 0.15, rng));
-  }
-  {
-    Rng rng(13);
-    out.emplace_back("tree", graph::random_tree(400, rng));
-  }
-  {
-    Rng rng(17);
-    out.emplace_back("sgnp", graph::sparse_gnp_connected(500, 6.0, rng));
-  }
-  return out;
 }
 
-TEST(ParallelColoring, ByteIdenticalAcrossThreadCounts) {
-  for (const auto& [name, g] : fixture_graphs()) {
-    const auto seq = graph::square_coloring(g);
-    for (const std::size_t threads : {2u, 8u, 0u}) {
-      const auto par = graph::square_coloring(g, threads);
-      const std::string what = name + "/t" + std::to_string(threads);
-      EXPECT_EQ(seq.color, par.color) << what;
-      EXPECT_EQ(seq.count, par.count) << what;
-      EXPECT_TRUE(graph::is_square_proper(g, par)) << what;
+TEST(ResidentBitmap, RacingFirstCallsBuildOneBitmap) {
+  Rng rng(19);
+  const auto g = graph::gnp_connected(700, 0.2, rng);
+  ASSERT_FALSE(g.has_bit_adjacency());
+  constexpr int kThreads = 8;
+  std::vector<const graph::BitAdjacency*> seen(kThreads, nullptr);
+  {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[t] = &g.bit_adjacency();
+      });
     }
+    for (auto& t : threads) t.join();
   }
+  for (const auto* bits : seen) EXPECT_EQ(bits, seen.front());
+  ASSERT_TRUE(g.has_bit_adjacency());
+  expect_rows_equal(*seen.front(), graph::BitAdjacency(g));
+
+  // A copy of the graph describes the same edges, so it yields equal rows.
+  const graph::Graph copy = g;
+  expect_rows_equal(copy.bit_adjacency(), graph::BitAdjacency(g));
 }
 
 TEST(StageSetsMembership, BitmapMatchesLevelScanFallback) {

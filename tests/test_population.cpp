@@ -177,14 +177,12 @@ std::vector<std::pair<std::string, sim::FaultPlan>> fault_plans(NodeId n) {
 
 struct Variant {
   sim::BackendKind backend;
-  std::size_t threads;
   const char* tag;
 };
 
 constexpr Variant kAllBackends[] = {
-    {sim::BackendKind::kScalar, 1, "scalar"},
-    {sim::BackendKind::kBit, 1, "bit"},
-    {sim::BackendKind::kSharded, 2, "sharded"},
+    {sim::BackendKind::kScalar, "scalar"},
+    {sim::BackendKind::kBit, "bit"},
 };
 
 /// The population against the per-node protocols at the same dispatch
@@ -309,7 +307,6 @@ TEST(PopulationDifferential, MatchesProtocolsOnRandomGraphs) {
           for (const auto& [fault_tag, faults] : fault_plans(g.node_count())) {
             ExecutionConfig config;
             config.backend = v.backend;
-            config.threads = v.threads;
             config.collision_detection = cd;
             config.faults = faults;
             check_against_protocols(
@@ -334,7 +331,7 @@ TEST(PopulationDifferential, MatchesProtocolsOnSparseMultiWordGraphs) {
       SchemeOptions opt;
       opt.coordinator = g.node_count() - 1;
       const PlanPtr plan = scheme.label(g, source, opt);
-      for (const Variant& v : {kAllBackends[0], kAllBackends[1]}) {
+      for (const Variant& v : kAllBackends) {
         for (const auto& [fault_tag, faults] : fault_plans(g.node_count())) {
           if (fault_tag != "none" && fault_tag != "loss") continue;
           ExecutionConfig config;

@@ -1,13 +1,14 @@
 // The runtime layer's oracles:
 //  - a registry-driven differential suite that iterates every registered
-//    scheme uniformly across engine backends (scalar/bit/sharded), dispatch
+//    scheme uniformly across engine backends (scalar/bit), dispatch
 //    strategies (scan/active-set), and ± collision detection, asserting
 //    full trace equality against the scalar × scan oracle;
 //  - compiled-replay trace equality for the label-determined schemes;
 //  - b on the shared λ_ack plan against B on a λ labeling;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
-//    worker threads) and PlanCache hit/miss accounting (labelings computed
-//    exactly once per cache key);
+//    worker threads, workers sharing one resident bitmap on a dense graph)
+//    and PlanCache hit/miss accounting (labelings computed exactly once per
+//    cache key);
 //  - the activity-contract satellite: multi-message, round-robin,
 //    color-robin, decay, and beep now hint, so the active set polls
 //    strictly less than the scan while staying bit-exact.
@@ -96,19 +97,13 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
   struct Variant {
     sim::BackendKind backend;
     sim::DispatchKind dispatch;
-    std::size_t threads;
     const char* tag;
   };
   const Variant variants[] = {
-      {sim::BackendKind::kBit, sim::DispatchKind::kScan, 0, "bit/scan"},
-      {sim::BackendKind::kScalar, sim::DispatchKind::kActiveSet, 0,
+      {sim::BackendKind::kBit, sim::DispatchKind::kScan, "bit/scan"},
+      {sim::BackendKind::kScalar, sim::DispatchKind::kActiveSet,
        "scalar/active"},
-      {sim::BackendKind::kBit, sim::DispatchKind::kActiveSet, 0,
-       "bit/active"},
-      {sim::BackendKind::kSharded, sim::DispatchKind::kScan, 2,
-       "sharded/scan"},
-      {sim::BackendKind::kSharded, sim::DispatchKind::kActiveSet, 2,
-       "sharded/active"},
+      {sim::BackendKind::kBit, sim::DispatchKind::kActiveSet, "bit/active"},
   };
   SchemeOptions opt;
   opt.payloads = {7, 8};  // exercised by "multi" only
@@ -128,7 +123,6 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
           ExecutionConfig cfg = oracle_cfg;
           cfg.backend = v.backend;
           cfg.dispatch = v.dispatch;
-          cfg.threads = v.threads;
           const std::string context = std::string(scheme->name()) +
                                       " graph#" + std::to_string(gi) + " " +
                                       v.tag + (cd ? " +cd" : "");
@@ -264,13 +258,20 @@ TEST(ActivityContract, NewHintsCutPollsWithoutChangingResults) {
 std::vector<std::string> run_suite_batch(std::size_t threads) {
   par::ThreadPool pool(threads);
   runtime::SweepRunner runner(pool);
-  const auto suite = analysis::quick_suite(16, /*seed=*/3);
+  auto suite = analysis::quick_suite(16, /*seed=*/3);
+  // A dense graph kAuto sends to bit: its specs run concurrently on one
+  // resident bitmap.
+  Rng rng(3);
+  suite.push_back({"gnp-dense", graph::gnp_connected(150, 0.3, rng), 0});
+  EXPECT_EQ(sim::choose_backend(suite.back().graph, sim::BackendKind::kAuto),
+            sim::BackendKind::kBit);
   ExecutionConfig engine_cfg;
   auto specs = analysis::scheme_specs(
       runner, suite,
       {"b", "ack", "common-round", "arb", "multi", "round-robin",
        "color-robin", "decay", "beep"},
       engine_cfg);
+  const runtime::GraphRef dense = specs.back().graph;
   // Mix in compiled specs: same scheme, compiled execution path.
   ExecutionConfig compiled_cfg;
   compiled_cfg.compiled = true;
@@ -283,7 +284,9 @@ std::vector<std::string> run_suite_batch(std::size_t threads) {
     spec.label = std::string("compiled/") + name;
     specs.push_back(std::move(spec));
   }
-  return analysis::format_sweep(specs, runner.run(specs));
+  const auto results = runner.run(specs);
+  EXPECT_TRUE(runner.resolve(dense).has_bit_adjacency());
+  return analysis::format_sweep(specs, results);
 }
 
 TEST(SweepRunner, BatchOutputIsIdenticalAtAnyThreadCount) {

@@ -544,23 +544,25 @@ TEST(Serve, ErrorFramesCarryStableCodes) {
   expect_code(bad_encoding, "bad_request");
 
   // A retired backend name is a field error, never a silent fallback.
-  Json hybrid_spec = runtime::wire::to_json(good);
-  Json hybrid_config(Json::Object{});
-  hybrid_config.set("backend", Json(std::string("hybrid")));
-  hybrid_spec.set("config", std::move(hybrid_config));
-  Json hybrid(Json::Object{});
-  hybrid.set("v", Json(std::uint64_t{2}));
-  hybrid.set("type", Json(std::string("batch")));
-  Json hybrid_specs(Json::Array{});
-  hybrid_specs.push_back(std::move(hybrid_spec));
-  hybrid.set("specs", std::move(hybrid_specs));
-  ASSERT_TRUE(client.send(hybrid));
-  const auto hybrid_reply = client.receive();
-  ASSERT_TRUE(hybrid_reply.has_value());
-  EXPECT_EQ(hybrid_reply->get("code").as_string(), "bad_spec");
-  EXPECT_NE(hybrid_reply->get("error").as_string().find("\"backend\""),
-            std::string::npos)
-      << hybrid_reply->get("error").as_string();
+  for (const char* retired : {"hybrid", "sharded"}) {
+    Json spec = runtime::wire::to_json(good);
+    Json config(Json::Object{});
+    config.set("backend", Json(std::string(retired)));
+    spec.set("config", std::move(config));
+    Json batch(Json::Object{});
+    batch.set("v", Json(std::uint64_t{2}));
+    batch.set("type", Json(std::string("batch")));
+    Json specs(Json::Array{});
+    specs.push_back(std::move(spec));
+    batch.set("specs", std::move(specs));
+    ASSERT_TRUE(client.send(batch));
+    const auto reply = client.receive();
+    ASSERT_TRUE(reply.has_value()) << retired;
+    EXPECT_EQ(reply->get("code").as_string(), "bad_spec") << retired;
+    EXPECT_NE(reply->get("error").as_string().find("\"backend\""),
+              std::string::npos)
+        << reply->get("error").as_string();
+  }
 
   Json compact(Json::Object{});
   compact.set("v", Json(std::uint64_t{2}));

@@ -277,40 +277,34 @@ TEST(SimdEngineDifferential, ForcedIsasMatchScalarOnAllBitBackends) {
   graphs.push_back(graph::gnp_connected(130, 0.15, graph_rng));
   graphs.push_back(graph::complete(97));
 
-  const std::vector<sim::BackendKind> backends = {sim::BackendKind::kBit,
-                                                  sim::BackendKind::kSharded};
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const Graph& g = graphs[gi];
     for (const bool cd : {false, true}) {
-      for (const auto backend : backends) {
-        // Baseline: scalar-forced engine on the same backend.
-        simd::force_isa(simd::Isa::kScalar);
-        sim::EngineOptions base_opt;
-        base_opt.trace = sim::TraceLevel::kFull;
-        base_opt.collision_detection = cd;
-        base_opt.backend = backend;
-        base_opt.threads = 3;
-        sim::Engine base(g, hash_talkers(g.node_count(), 0xF00D + gi, 3),
-                         base_opt);
-        for (int r = 0; r < 32; ++r) base.step();
+      // Baseline: scalar-forced engine on the same backend.
+      simd::force_isa(simd::Isa::kScalar);
+      sim::EngineOptions base_opt;
+      base_opt.trace = sim::TraceLevel::kFull;
+      base_opt.collision_detection = cd;
+      base_opt.backend = sim::BackendKind::kBit;
+      sim::Engine base(g, hash_talkers(g.node_count(), 0xF00D + gi, 3),
+                       base_opt);
+      for (int r = 0; r < 32; ++r) base.step();
 
-        for (const auto isa : available_isas()) {
-          if (isa == simd::Isa::kScalar) continue;
-          simd::force_isa(isa);
-          sim::Engine vec(g, hash_talkers(g.node_count(), 0xF00D + gi, 3),
-                          base_opt);
-          for (int r = 0; r < 32; ++r) vec.step();
-          const std::string what = std::string(sim::to_string(backend)) +
-                                   "/" + simd::to_string(isa) + " graph " +
-                                   std::to_string(gi) +
-                                   (cd ? " (cd)" : "");
-          expect_engines_equal(base, vec, what);
-          for (NodeId v = 0; v < g.node_count(); ++v) {
-            const auto& pb = dynamic_cast<const HashTalker&>(base.protocol(v));
-            const auto& pv = dynamic_cast<const HashTalker&>(vec.protocol(v));
-            EXPECT_EQ(pb.heard_hash(), pv.heard_hash()) << what << " " << v;
-            EXPECT_EQ(pb.collisions(), pv.collisions()) << what << " " << v;
-          }
+      for (const auto isa : available_isas()) {
+        if (isa == simd::Isa::kScalar) continue;
+        simd::force_isa(isa);
+        sim::Engine vec(g, hash_talkers(g.node_count(), 0xF00D + gi, 3),
+                        base_opt);
+        for (int r = 0; r < 32; ++r) vec.step();
+        const std::string what = std::string("bit/") + simd::to_string(isa) +
+                                 " graph " + std::to_string(gi) +
+                                 (cd ? " (cd)" : "");
+        expect_engines_equal(base, vec, what);
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+          const auto& pb = dynamic_cast<const HashTalker&>(base.protocol(v));
+          const auto& pv = dynamic_cast<const HashTalker&>(vec.protocol(v));
+          EXPECT_EQ(pb.heard_hash(), pv.heard_hash()) << what << " " << v;
+          EXPECT_EQ(pb.collisions(), pv.collisions()) << what << " " << v;
         }
       }
     }
