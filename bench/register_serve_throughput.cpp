@@ -1,15 +1,11 @@
 // Micro-bench P6 — the serve daemon: an in-process `serve::Server` under
 // real socket load.  Families:
-//  - serve/multi-client: several concurrent Client threads stream spec
-//    batches at a warm server; reports specs/sec plus per-batch p50/p99
-//    latency (the interleave cost of batch-granularity serialization).
+//  - serve/multi-client: 4 concurrent Client threads stream spec batches
+//    at a warm server; reports specs/sec plus per-batch p50/p99 latency.
 //    Recorded, not gated (latency is host-dependent).
-//  - serve/saturating/{serial,pipelined}: the pipelined-executor acceptance
-//    row.  8 clients fire small overhead-dominated batches at the same
-//    host twice — once at a serial server (--pipeline-depth 0) and once at
-//    the staged pipeline — and the pipelined run must clear >= 2x
-//    specs/sec whenever the host has >= 4 hardware threads (self-skipped
-//    below that, like the other parallel gates).
+//  - serve/saturating: 8 clients fire small overhead-dominated batches as
+//    fast as the server answers them; reports specs/sec plus per-batch
+//    p50/p99.  Recorded, not gated.
 //  - serve/restart/{cold,warm}: the acceptance row.  A server with a plan
 //    store answers a compiled clique batch (b/ack/arb, several sources,
 //    n >= 4096), is torn down, and a *fresh* server over the same store
@@ -36,8 +32,6 @@ namespace {
 constexpr std::uint32_t kCliqueMinNodes = 4096;
 constexpr std::uint32_t kCliqueMaxNodes = 8192;
 constexpr double kAcceptanceSpeedup = 3.0;
-constexpr double kPipelineSpeedup = 2.0;
-constexpr unsigned kPipelineGateCores = 4;
 
 std::vector<runtime::ExperimentSpec> client_specs(std::uint32_t n) {
   std::vector<runtime::ExperimentSpec> specs;
@@ -60,40 +54,42 @@ double percentile(std::vector<std::uint64_t> sorted_ns, double p) {
   return static_cast<double>(sorted_ns[idx]) / 1e6;  // ms
 }
 
-/// Concurrent clients streaming batches at one warm server.
-void multi_client_family(Context& ctx, std::uint32_t n) {
-  const auto specs = client_specs(n);
+/// `clients` concurrent Client threads each stream `batches` copies of
+/// `specs` at one server whose cache was warmed first, so the measured
+/// regime is the daemon's steady state.  Records one sample: specs/sec and
+/// per-batch p50/p99 latency.
+void closed_loop(Context& ctx, std::uint32_t n, const std::string& family,
+                 const std::vector<runtime::ExperimentSpec>& specs,
+                 int clients, int batches) {
   runtime::SweepRunner runner(ctx.pool());
   serve::Server server(runner, serve::ServerOptions{});
   server.start();
-
-  // Warm the cache so the measured regime is the daemon's steady state.
   {
     serve::Client warmup;
     if (!warmup.connect_tcp(server.tcp_port())) return;
     if (!warmup.run_batch(specs).ok) return;
   }
 
-  constexpr int kClients = 4;
-  constexpr int kBatchesPerClient = 8;
-  std::vector<std::vector<std::uint64_t>> latencies(kClients);
-  std::vector<bool> client_ok(kClients, true);
+  std::vector<std::vector<std::uint64_t>> latencies(
+      static_cast<std::size_t>(clients));
+  std::vector<char> client_ok(static_cast<std::size_t>(clients), 1);
   const std::uint64_t wall_ns = time_ns([&] {
     std::vector<std::thread> threads;
-    for (int c = 0; c < kClients; ++c) {
+    for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
+        const auto slot = static_cast<std::size_t>(c);
         serve::Client client;
         if (!client.connect_tcp(server.tcp_port())) {
-          client_ok[c] = false;
+          client_ok[slot] = 0;
           return;
         }
-        for (int b = 0; b < kBatchesPerClient; ++b) {
+        for (int b = 0; b < batches; ++b) {
           serve::BatchOutcome outcome;
-          latencies[c].push_back(time_ns([&] {
-            outcome = client.run_batch(specs, static_cast<std::uint64_t>(c));
+          latencies[slot].push_back(time_ns([&] {
+            outcome = client.run_batch(specs, static_cast<std::uint64_t>(b));
           }));
           if (!outcome.ok || outcome.results.size() != specs.size()) {
-            client_ok[c] = false;
+            client_ok[slot] = 0;
             return;
           }
         }
@@ -104,88 +100,35 @@ void multi_client_family(Context& ctx, std::uint32_t n) {
   server.stop();
 
   std::vector<std::uint64_t> all;
-  bool ok = true;
-  for (int c = 0; c < kClients; ++c) {
-    ok = ok && client_ok[c];
-    all.insert(all.end(), latencies[c].begin(), latencies[c].end());
-  }
+  for (const auto& l : latencies) all.insert(all.end(), l.begin(), l.end());
   const std::size_t total_specs = all.size() * specs.size();
   const double secs = static_cast<double>(wall_ns) / 1e9;
 
   Sample s;
-  s.family = "serve/multi-client";
+  s.family = family;
   s.n = n;
   s.rounds = total_specs;
   s.wall_ns = wall_ns;
-  s.ok = ok;
+  s.ok = std::all_of(client_ok.begin(), client_ok.end(),
+                     [](char ok) { return ok != 0; });
   s.extra = {
       {"specs_per_sec",
        secs > 0 ? static_cast<double>(total_specs) / secs : 0.0},
       {"batch_p50_ms", percentile(all, 0.50)},
       {"batch_p99_ms", percentile(all, 0.99)},
-      {"clients", static_cast<double>(kClients)},
+      {"clients", static_cast<double>(clients)},
   };
   ctx.record(std::move(s));
 }
 
-struct SaturatingRun {
-  std::uint64_t wall_ns = 0;
-  bool ok = false;
-  serve::PipelineStats pipeline;
-};
-
-/// One server lifetime under saturating load: `clients` threads each fire
-/// `batches` copies of `specs` as fast as the daemon answers them.  The
-/// cache is warmed first so the measured regime is pure serving overhead.
-SaturatingRun saturate_once(Context& ctx, const serve::ServerOptions& options,
-                            const std::vector<runtime::ExperimentSpec>& specs,
-                            int clients, int batches) {
-  SaturatingRun out;
-  runtime::SweepRunner runner(ctx.pool());
-  serve::Server server(runner, options);
-  server.start();
-  {
-    serve::Client warmup;
-    if (!warmup.connect_tcp(server.tcp_port()) ||
-        !warmup.run_batch(specs).ok) {
-      server.stop();
-      return out;
-    }
-  }
-
-  std::vector<char> client_ok(static_cast<std::size_t>(clients), 1);
-  out.wall_ns = time_ns([&] {
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        serve::Client client;
-        if (!client.connect_tcp(server.tcp_port())) {
-          client_ok[static_cast<std::size_t>(c)] = 0;
-          return;
-        }
-        for (int b = 0; b < batches; ++b) {
-          const auto outcome =
-              client.run_batch(specs, static_cast<std::uint64_t>(b));
-          if (!outcome.ok || outcome.results.size() != specs.size()) {
-            client_ok[static_cast<std::size_t>(c)] = 0;
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  });
-  out.pipeline = server.pipeline_stats();
-  server.stop();
-  out.ok = std::all_of(client_ok.begin(), client_ok.end(),
-                       [](char ok) { return ok != 0; });
-  return out;
+/// Concurrent clients streaming batches at one warm server.
+void multi_client_family(Context& ctx, std::uint32_t n) {
+  closed_loop(ctx, n, "serve/multi-client", client_specs(n), 4, 8);
 }
 
-/// Serial vs pipelined under 8-client saturating load: the >= 2x gate.
+/// 8 clients × 16 batches of two tiny specs: the per-batch-overhead-
+/// dominated regime.
 void saturating_family(Context& ctx, std::uint32_t n) {
-  // Two tiny specs per batch: the per-batch-overhead-dominated regime
-  // where admission coalescing and stage overlap are the whole story.
   std::vector<runtime::ExperimentSpec> specs;
   for (const char* scheme : {"b", "ack"}) {
     runtime::ExperimentSpec spec;
@@ -194,47 +137,7 @@ void saturating_family(Context& ctx, std::uint32_t n) {
     spec.label = std::string("saturating/") + scheme;
     specs.push_back(std::move(spec));
   }
-  constexpr int kClients = 8;
-  constexpr int kBatchesPerClient = 16;
-
-  serve::ServerOptions serial_options;
-  serial_options.executor.pipeline_depth = 0;
-  const SaturatingRun serial =
-      saturate_once(ctx, serial_options, specs, kClients, kBatchesPerClient);
-  const SaturatingRun pipelined = saturate_once(
-      ctx, serve::ServerOptions{}, specs, kClients, kBatchesPerClient);
-
-  const double speedup =
-      pipelined.wall_ns != 0 ? static_cast<double>(serial.wall_ns) /
-                                   static_cast<double>(pipelined.wall_ns)
-                             : 0.0;
-  const std::size_t total_specs =
-      specs.size() * static_cast<std::size_t>(kClients * kBatchesPerClient);
-  const bool gated =
-      std::thread::hardware_concurrency() >= kPipelineGateCores;
-  for (const auto* run : {&serial, &pipelined}) {
-    Sample s;
-    s.family = std::string("serve/saturating/") +
-               (run == &serial ? "serial" : "pipelined");
-    s.n = n;
-    s.rounds = total_specs;
-    s.wall_ns = run->wall_ns;
-    s.ok = serial.ok && pipelined.ok;
-    const double secs = static_cast<double>(run->wall_ns) / 1e9;
-    s.extra = {
-        {"specs_per_sec",
-         secs > 0 ? static_cast<double>(total_specs) / secs : 0.0},
-        {"pipeline_speedup", speedup},
-        {"clients", static_cast<double>(kClients)},
-        {"coalesced_batches",
-         static_cast<double>(run->pipeline.coalesced_batches)},
-        {"submissions", static_cast<double>(run->pipeline.submissions)},
-    };
-    if (run == &pipelined && gated) {
-      s.ok = s.ok && speedup >= kPipelineSpeedup;
-    }
-    ctx.record(std::move(s));
-  }
+  closed_loop(ctx, n, "serve/saturating", specs, 8, 16);
 }
 
 struct ServedBatch {

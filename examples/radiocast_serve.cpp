@@ -4,7 +4,6 @@
 //
 //   radiocast_serve --unix PATH | --tcp PORT
 //                   [--store DIR] [--threads N] [--cache-bytes BYTES]
-//                   [--pipeline-depth N] [--coalesce-window-ms M]
 //
 //   --unix PATH         listen on a Unix-domain socket at PATH
 //   --tcp PORT          listen on 127.0.0.1:PORT (0 = ephemeral; the bound
@@ -14,12 +13,9 @@
 //   --threads N         worker threads for batch execution (0 = hardware)
 //   --cache-bytes B     PlanCache byte budget (0 = unlimited); evicted
 //                       entries reload from the store instead of recompute
-//   --pipeline-depth N  admission-queue capacity of the staged pipeline
-//                       (default 32; 0 = serial legacy path, one batch at a
-//                       time on the runner mutex)
-//   --coalesce-window-ms M  extra wait for more batches to merge into one
-//                       sweep before submitting (default 0: merge whatever
-//                       has queued while the previous sweep ran)
+//
+// Each connection runs its batches on the shared worker pool, so concurrent
+// clients execute side by side.
 //
 // Protocol: u32-LE length-prefixed JSON frames; see src/serve/server.hpp
 // and the README's radiocast_serve section for the frame catalogue and a
@@ -52,9 +48,7 @@ int usage() {
       stderr,
       "usage: radiocast_serve --unix PATH | --tcp PORT\n"
       "                       [--store DIR] [--threads N] "
-      "[--cache-bytes BYTES]\n"
-      "                       [--pipeline-depth N] "
-      "[--coalesce-window-ms M]\n");
+      "[--cache-bytes BYTES]\n");
   return 2;
 }
 
@@ -80,14 +74,6 @@ int main(int argc, char** argv) {
       threads = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0 && i + 1 < argc) {
       cache_bytes = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--pipeline-depth") == 0 &&
-               i + 1 < argc) {
-      options.executor.pipeline_depth =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--coalesce-window-ms") == 0 &&
-               i + 1 < argc) {
-      options.executor.coalesce_window_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
       return usage();
@@ -127,15 +113,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.batches),
                 static_cast<unsigned long long>(stats.specs_run),
                 static_cast<unsigned long long>(stats.connections));
-    const auto pipeline = server.pipeline_stats();
-    if (pipeline.submissions != 0) {
-      std::printf(
-          "pipeline: %llu submissions, %llu coalesced batches, "
-          "%llu merged specs\n",
-          static_cast<unsigned long long>(pipeline.submissions),
-          static_cast<unsigned long long>(pipeline.coalesced_batches),
-          static_cast<unsigned long long>(pipeline.merged_specs));
-    }
     return 0;
   } catch (const ContractViolation& violation) {
     std::fprintf(stderr, "radiocast_serve: %s\n", violation.what());

@@ -156,6 +156,7 @@ GraphRef SweepRunner::add_graph(graph::Graph g, std::string generator) {
   GraphRef ref;
   ref.hash = graph::canonical_hash(g);
   ref.generator = std::move(generator);
+  const std::lock_guard<std::mutex> lock(mu_);
   graphs_.emplace(ref.hash, std::move(g));
   graph_count_.store(graphs_.size(), std::memory_order_relaxed);
   if (!ref.generator.empty()) {
@@ -165,6 +166,11 @@ GraphRef SweepRunner::add_graph(graph::Graph g, std::string generator) {
 }
 
 std::uint64_t SweepRunner::resolve_hash(const GraphRef& ref) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return resolve_hash_locked(ref);
+}
+
+std::uint64_t SweepRunner::resolve_hash_locked(const GraphRef& ref) {
   if (ref.hash != 0 && graphs_.count(ref.hash) != 0) return ref.hash;
   RC_EXPECTS_MSG(!ref.generator.empty(),
                  "graph ref is unknown and carries no generator descriptor");
@@ -188,7 +194,8 @@ std::uint64_t SweepRunner::resolve_hash(const GraphRef& ref) {
 }
 
 const graph::Graph& SweepRunner::resolve(const GraphRef& ref) {
-  return graphs_.at(resolve_hash(ref));
+  const std::lock_guard<std::mutex> lock(mu_);
+  return graphs_.at(resolve_hash_locked(ref));  // nodes never move
 }
 
 std::vector<SchemeResult> SweepRunner::run(
@@ -241,12 +248,14 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
   };
   auto& registry = SchemeRegistry::instance();
   std::vector<Resolved> resolved(specs.size());
+  // Resolution and phases 1-2 hold the runner mutex; phase 3 does not.
+  std::unique_lock<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const ExperimentSpec& spec = *specs[i];
     Resolved& r = resolved[i];
     r.scheme = registry.find(spec.scheme);
     RC_EXPECTS_MSG(r.scheme != nullptr, "unregistered scheme in sweep spec");
-    const std::uint64_t graph_hash = resolve_hash(spec.graph);
+    const std::uint64_t graph_hash = resolve_hash_locked(spec.graph);
     r.graph = &graphs_.at(graph_hash);
     RC_EXPECTS(spec.source < r.graph->node_count());
     if (spec.config.plan_cache_bytes != 0) {
@@ -275,8 +284,9 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
 
   // Phase 1: load or compute every missing labeling exactly once.  Misses
   // are deduplicated by key (first spec wins the computation slot); the
-  // parallel loop only touches distinct keys, so "exactly once per cache
-  // key" holds structurally rather than by locking.  With a store attached,
+  // parallel loop only touches distinct keys, and the runner mutex keeps
+  // concurrent batches out of this phase, so "exactly once per cache key"
+  // holds across batches as well as within one.  With a store attached,
   // a key found on disk is decoded instead of computed (a store hit, not a
   // miss), and computed plans are written through.
   std::vector<std::size_t> plan_work;  // spec index owning a distinct key
@@ -386,10 +396,12 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     }
   }
 
-  // Phase 3: execute all specs against the shared read-only plans; results
+  // Phase 3: execute all specs against the shared read-only plans, outside
+  // the mutex (graph nodes never move; plans are held by pointer); results
   // land in spec order (parallel_map writes indexed slots).  Each spec's
   // execution wall time is recorded for the serve layer's binary result
   // encoding; timing covers execution only, not the shared plan phases.
+  lock.unlock();
   wall_ns.assign(specs.size(), 0);
   return par::parallel_map(pool_, specs.size(), [&](std::size_t i) {
     const ExperimentSpec& spec = *specs[i];

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -138,12 +139,19 @@ struct BatchResults {
 };
 
 /// Executes spec batches over a content-addressed graph table with a
-/// persistent plan cache.  Not itself thread-safe: one batch at a time; the
-/// batch's internal work is parallelized on the caller-supplied pool.
+/// persistent plan cache.  Any number of threads may call `run` /
+/// `run_merged` at once: one runner mutex covers spec resolution (the graph
+/// table and the descriptor memo) and the plan and compile phases, so each
+/// cache key is still loaded or computed exactly once across concurrent
+/// batches (a cold batch's labeling holds other batches at their plan
+/// phase).  Execution runs outside the mutex, reading graphs through stable
+/// node pointers and plans through shared pointers, so concurrent batches
+/// fill the shared pool together.
 class SweepRunner {
  public:
   /// \param pool shared worker pool (also usable by other subsystems; the
-  ///        runner only submits through parallel_map and always drains).
+  ///        runner only submits through parallel_map, whose calls complete
+  ///        independently of other callers' work).
   explicit SweepRunner(par::ThreadPool& pool) : pool_(pool) {}
 
   /// Registers a graph and returns its content-addressed ref (`generator`
@@ -164,17 +172,19 @@ class SweepRunner {
   std::uint64_t resolve_hash(const GraphRef& ref);
 
   bool has_graph(std::uint64_t hash) const {
+    const std::lock_guard<std::mutex> lock(mu_);
     return graphs_.count(hash) != 0;
   }
-  /// Safe to read concurrently with a running batch (the serve daemon's
-  /// stats frame polls it from connection threads).
+  /// Lock-free, so the daemon's stats frame never waits behind a cold
+  /// batch's plan phase.
   std::size_t graph_count() const noexcept {
     return graph_count_.load(std::memory_order_relaxed);
   }
 
   /// Attaches an on-disk plan store (nullptr detaches).  Plan misses then
   /// consult the store before computing, and computed plans are written
-  /// through, so a new runner over the same store starts warm.
+  /// through, so a new runner over the same store starts warm.  Set-up
+  /// only: not while a batch runs.
   void attach_store(PlanStore* store) { store_ = store; }
   PlanStore* store() const noexcept { return store_; }
 
@@ -189,14 +199,11 @@ class SweepRunner {
   /// Runs several independently-owned batches as ONE sweep: the specs are
   /// concatenated (batch order, spec order within each batch), every plan /
   /// compiled execution is still loaded or computed exactly once across the
-  /// whole merged set, and the execution phase is one pool dispatch — so
-  /// concurrent clients sweeping the same graph share one labeling and one
-  /// dispatch instead of serializing N copies of the fixed batch cost.
+  /// whole merged set, and the execution phase is one pool dispatch.
   /// Results come back sliced per input batch, each slice in its batch's own
   /// spec order and byte-identical to what `run` would have returned for
-  /// that batch alone (pinned by the serve differentials).  `spec_wall_ns`
-  /// records each spec's execution wall time (phase 3 only; plan
-  /// construction is shared and not attributed).
+  /// that batch alone.  `spec_wall_ns` records each spec's execution wall
+  /// time (phase 3 only; plan construction is shared and not attributed).
   std::vector<BatchResults> run_merged(
       const std::vector<const std::vector<ExperimentSpec>*>& batches);
 
@@ -212,8 +219,13 @@ class SweepRunner {
   std::vector<SchemeResult> run_ptrs(
       const std::vector<const ExperimentSpec*>& specs,
       std::vector<std::uint64_t>& wall_ns);
+  /// `resolve_hash` with `mu_` already held.
+  std::uint64_t resolve_hash_locked(const GraphRef& ref);
 
   par::ThreadPool& pool_;
+  /// Guards the graph table, the descriptor memo, and the plan and compile
+  /// phases of every batch.
+  mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, graph::Graph> graphs_;
   std::unordered_map<std::string, std::uint64_t> generator_hashes_;
   std::atomic<std::size_t> graph_count_{0};

@@ -119,10 +119,6 @@ void Server::start() {
     ::close(fd);
     RC_EXPECTS_MSG(false, "listen failed");
   }
-  if (options_.executor.pipeline_depth > 0) {
-    executor_ = std::make_unique<Executor>(runner_, options_.executor);
-    executor_->start();
-  }
   // Drop wake-ups left over from an earlier run of this server.
   char drained[64];
   while (::read(wake_fds_[0], drained, sizeof(drained)) > 0) {
@@ -159,13 +155,11 @@ void Server::stop() {
     workers = std::move(workers_);
   }
   if (accept_thread.joinable()) accept_thread.join();
+  // A connection thread mid-batch finishes it first; its response write
+  // fails on the shut-down socket, which is fine.
   for (std::thread& w : workers) {
     if (w.joinable()) w.join();
   }
-  // Drain the pipeline after the connection threads are gone: queued
-  // batches still run to completion (their response writes fail on the
-  // shut-down sockets, which is fine), and the stage threads join.
-  if (executor_ != nullptr) executor_->stop();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const auto& conn : conns_) ::close(conn->fd);
@@ -191,10 +185,6 @@ bool Server::running() const {
 ServerStats Server::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-PipelineStats Server::pipeline_stats() const {
-  return executor_ != nullptr ? executor_->stats() : PipelineStats{};
 }
 
 void Server::accept_loop() {
@@ -287,22 +277,6 @@ bool Server::handle(const std::shared_ptr<Conn>& conn, const Json& request) {
     server_json.set("errors", Json(s.errors));
     server_json.set("graphs", Json(std::uint64_t{runner_.graph_count()}));
     out.set("server", std::move(server_json));
-    const PipelineStats p = pipeline_stats();
-    Json pipeline_json(Json::Object{});
-    pipeline_json.set("enabled", Json(executor_ != nullptr));
-    pipeline_json.set("depth",
-                      Json(std::uint64_t{options_.executor.pipeline_depth}));
-    pipeline_json.set("window_ms",
-                      Json(options_.executor.coalesce_window_ms));
-    pipeline_json.set("queue_depth", Json(p.queue_depth));
-    pipeline_json.set("max_queue_depth", Json(p.max_queue_depth));
-    pipeline_json.set("batches", Json(p.batches));
-    pipeline_json.set("specs", Json(p.specs));
-    pipeline_json.set("submissions", Json(p.submissions));
-    pipeline_json.set("coalesced_batches", Json(p.coalesced_batches));
-    pipeline_json.set("merged_specs", Json(p.merged_specs));
-    pipeline_json.set("fallback_splits", Json(p.fallback_splits));
-    out.set("pipeline", std::move(pipeline_json));
     out.set("cache", cache_stats_json(runner_.cache_stats()));
     if (const runtime::PlanStore* store = runner_.store()) {
       const auto st = store->stats();
@@ -358,8 +332,7 @@ void Server::handle_batch(const std::shared_ptr<Conn>& conn,
   // Decode and validate the whole batch before running any of it: a batch
   // either runs completely or is rejected with the first offending index.
   // Scheme names are checked here too, so an unregistered scheme is a
-  // decode-time `bad_spec` on both paths instead of poisoning a merged
-  // sweep.
+  // decode-time `bad_spec` rather than a `run_failed`.
   std::vector<runtime::ExperimentSpec> specs;
   specs.reserve(specs_json.as_array().size());
   for (std::size_t i = 0; i < specs_json.as_array().size(); ++i) {
@@ -379,34 +352,16 @@ void Server::handle_batch(const std::shared_ptr<Conn>& conn,
     specs.push_back(std::move(decoded.value));
   }
 
-  if (executor_ != nullptr) {
-    executor_->submit(std::move(specs),
-                      [this, conn, id, binary](Completion completion) {
-                        if (!completion.ok()) {
-                          send_error(conn, id, "run_failed",
-                                     completion.error);
-                          return;
-                        }
-                        send_batch_results(conn, id, binary, completion);
-                      });
-    return;
-  }
-
-  // Serial path: one batch at a time on the runner mutex.
-  Completion completion;
+  std::vector<runtime::BatchResults> sliced;
   try {
-    const std::lock_guard<std::mutex> lock(runner_mu_);
-    std::vector<runtime::BatchResults> sliced = runner_.run_merged({&specs});
-    completion.results = std::move(sliced[0].results);
-    completion.spec_wall_ns = std::move(sliced[0].spec_wall_ns);
-    completion.cache_stats = runner_.cache_stats();
+    sliced = runner_.run_merged({&specs});
   } catch (const ContractViolation& violation) {
     // Unresolvable graph ref, out-of-range source... the batch is rejected,
     // the connection and server stay up.
     send_error(conn, id, "run_failed", violation.what());
     return;
   }
-  send_batch_results(conn, id, binary, completion);
+  send_batch_results(conn, id, binary, sliced[0]);
 }
 
 void Server::handle_compact(const std::shared_ptr<Conn>& conn,
@@ -431,37 +386,38 @@ void Server::handle_compact(const std::shared_ptr<Conn>& conn,
 
 void Server::send_batch_results(const std::shared_ptr<Conn>& conn,
                                 const Json& id, bool binary,
-                                const Completion& completion) {
-  const std::vector<runtime::SchemeResult>& results = completion.results;
+                                const runtime::BatchResults& batch) {
+  const std::vector<runtime::SchemeResult>& results = batch.results;
+  // Every frame of the response goes into one buffer and out with one
+  // write, so the frames stay adjacent on the wire.
+  std::string out;
   if (binary) {
     std::vector<runtime::wire::BinaryResult> records;
     records.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::uint64_t wall = i < completion.spec_wall_ns.size()
-                                     ? completion.spec_wall_ns[i]
-                                     : 0;
-      records.push_back(runtime::wire::binary_result(results[i], wall));
+      records.push_back(
+          runtime::wire::binary_result(results[i], batch.spec_wall_ns[i]));
     }
     Json announce = make_frame("results");
     if (!id.is_null()) announce.set("id", id);
     announce.set("count", Json(std::uint64_t{results.size()}));
     announce.set("encoding", Json("binary"));
-    const std::string payload =
-        runtime::wire::encode_results_binary(records);
-    // The announce frame and the raw binary frame must be adjacent on the
-    // wire, so both go out under one hold of the connection's write lock.
-    const std::lock_guard<std::mutex> lock(conn->write_mu);
-    write_all(conn->fd, runtime::wire::frame(announce.dump()));
-    write_all(conn->fd, runtime::wire::frame(payload));
+    out += runtime::wire::frame(announce.dump());
+    out += runtime::wire::frame(runtime::wire::encode_results_binary(records));
   } else {
     for (std::size_t i = 0; i < results.size(); ++i) {
       Json frame = make_frame("result");
       if (!id.is_null()) frame.set("id", id);
       frame.set("index", Json(std::uint64_t{i}));
       frame.set("result", runtime::wire::to_json(results[i]));
-      send_json(conn, frame);
+      out += runtime::wire::frame(frame.dump());
     }
   }
+  Json done = make_frame("done");
+  if (!id.is_null()) done.set("id", id);
+  done.set("count", Json(std::uint64_t{results.size()}));
+  done.set("stats", cache_stats_json(runner_.cache_stats()));
+  out += runtime::wire::frame(done.dump());
   // Count the batch before the done frame goes out: the done frame is the
   // client's synchronization point, so counters it can observe afterwards
   // (the stats frame, Server::stats()) must already include this batch.
@@ -470,18 +426,12 @@ void Server::send_batch_results(const std::shared_ptr<Conn>& conn,
     ++stats_.batches;
     stats_.specs_run += results.size();
   }
-  Json done = make_frame("done");
-  if (!id.is_null()) done.set("id", id);
-  done.set("count", Json(std::uint64_t{results.size()}));
-  done.set("stats", cache_stats_json(completion.cache_stats));
-  send_json(conn, done);
+  write_all(conn->fd, out);
 }
 
 void Server::send_json(const std::shared_ptr<Conn>& conn,
                        const Json& message) {
-  const std::string framed = runtime::wire::frame(message.dump());
-  const std::lock_guard<std::mutex> lock(conn->write_mu);
-  write_all(conn->fd, framed);
+  write_all(conn->fd, runtime::wire::frame(message.dump()));
 }
 
 void Server::send_error(const std::shared_ptr<Conn>& conn, const Json& id,

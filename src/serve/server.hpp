@@ -25,8 +25,8 @@
 ///
 ///   -> {"v":2,"type":"ping"}            <- {"v":2,"type":"pong"}
 ///   -> {"v":2,"type":"stats"}           <- {"v":2,"type":"stats",
-///      "server":{...,"graphs":..}, "pipeline":{queue depth, coalesced
-///      batches, merged specs, ...}, "cache":{...}, "store":{...}}
+///      "server":{connections, batches, specs_run, errors, graphs},
+///      "cache":{...}, "store":{...}}   ("store" only with a store attached)
 ///   -> {"v":2,"type":"compact","max_bytes":N}
 ///                                       <- {"v":2,"type":"compacted",
 ///      "records_evicted":K,"records":R,"bytes":B}   (plan-store GC)
@@ -40,17 +40,15 @@
 /// bad_spec / run_failed / no_store); the connection stays usable; only
 /// framing-level poison (oversized frame) closes it.
 ///
-/// Concurrency: one accept thread plus one thread per connection, and (with
-/// `executor.pipeline_depth` > 0, the default) the two pipeline stage
-/// threads of `serve::Executor` — connection threads only decode and
-/// enqueue, concurrent batches coalesce into merged sweeps, and encoding
-/// overlaps execution (see executor.hpp for the stage diagram).  Depth 0
-/// selects the legacy serial path: batches from different connections
-/// serialize on the runner mutex.  Either way each connection's responses
-/// arrive in the order it sent its batches, and results are byte-identical
-/// across paths.  Only the owning thread stops the server (`wait()`,
-/// `stop()`, the destructor); a shutdown frame or a signal merely requests
-/// it, so no thread ever joins or destroys what another is still using.
+/// Concurrency: one accept thread plus one thread per connection.  Each
+/// connection thread decodes its batch, runs it on the shared `SweepRunner`
+/// (whose pool the batches of every connection fill together), and writes
+/// the whole response with one send.  A connection handles its frames one
+/// at a time, so its responses arrive in the order it sent its batches, and
+/// a failing batch fails only itself.  Only the owning thread stops the
+/// server (`wait()`, `stop()`, the destructor); a shutdown frame or a
+/// signal merely requests it, so no thread ever joins or destroys what
+/// another is still using.
 #pragma once
 
 #include <atomic>
@@ -62,7 +60,6 @@
 #include <vector>
 
 #include "runtime/sweep.hpp"
-#include "serve/executor.hpp"
 #include "support/json.hpp"
 
 namespace radiocast::serve {
@@ -75,11 +72,6 @@ struct ServerOptions {
   std::uint16_t tcp_port = 0;
   /// Frames larger than this poison the connection (decode bombs).
   std::size_t max_frame_bytes = 1 << 26;
-  /// Pipeline configuration.  `executor.pipeline_depth` 0 disables the
-  /// pipeline entirely (legacy serial path, one batch at a time on the
-  /// runner mutex) — the differential tests pin the two paths against each
-  /// other.
-  ExecutorOptions executor;
 };
 
 struct ServerStats {
@@ -98,14 +90,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and starts the accept thread (and, with a non-zero
-  /// pipeline depth, the executor stage threads).  Violates a precondition
-  /// when the address cannot be bound.
+  /// Binds the socket and starts the accept thread.  Violates a
+  /// precondition when the address cannot be bound.
   void start();
 
-  /// Stops accepting, closes every live connection, drains the pipeline,
-  /// and joins all threads.  Idempotent; also invoked by the destructor.
-  /// Owning thread only: never from a connection thread.
+  /// Stops accepting, closes every live connection, and joins all threads
+  /// (a batch already running finishes first).  Idempotent; also invoked by
+  /// the destructor.  Owning thread only: never from a connection thread.
   void stop();
 
   /// Asks the owner's `wait()` to stop the server.  Async-signal-safe: an
@@ -123,16 +114,12 @@ class Server {
   std::uint16_t tcp_port() const noexcept { return bound_port_; }
   const std::string& unix_path() const noexcept { return options_.unix_path; }
   ServerStats stats() const;
-  /// Pipeline counters (all zero on the serial path).
-  PipelineStats pipeline_stats() const;
 
  private:
-  /// One live connection: its socket plus a write lock so the encode
-  /// thread's result frames and the connection thread's error frames never
-  /// interleave mid-frame.
+  /// One live connection.  Only its own thread writes to it, so frames
+  /// never interleave.
   struct Conn {
     int fd = -1;
-    std::mutex write_mu;
   };
 
   void accept_loop();
@@ -145,11 +132,11 @@ class Server {
                     const support::Json& request);
   void handle_compact(const std::shared_ptr<Conn>& conn,
                       const support::Json& request);
-  /// Streams one completed batch back: result frames (JSON or the binary
-  /// announce + raw resbin frame) then the done frame.
+  /// Sends one completed batch back in a single write: result frames (JSON
+  /// or the binary announce + raw resbin frame) then the done frame.
   void send_batch_results(const std::shared_ptr<Conn>& conn,
                           const support::Json& id, bool binary,
-                          const Completion& completion);
+                          const runtime::BatchResults& batch);
   void send_json(const std::shared_ptr<Conn>& conn,
                  const support::Json& message);
   void send_error(const std::shared_ptr<Conn>& conn, const support::Json& id,
@@ -158,8 +145,6 @@ class Server {
 
   runtime::SweepRunner& runner_;
   ServerOptions options_;
-  std::mutex runner_mu_;  ///< serial path: serializes batches
-  std::unique_ptr<Executor> executor_;  ///< null on the serial path
 
   mutable std::mutex mu_;  ///< guards everything below
   ServerStats stats_;

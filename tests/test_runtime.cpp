@@ -6,15 +6,19 @@
 //  - compiled-replay trace equality for the label-determined schemes;
 //  - b on the shared λ_ack plan against B on a λ labeling;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
-//    worker threads, workers sharing one resident bitmap on a dense graph)
-//    and PlanCache hit/miss accounting (labelings computed exactly once per
-//    cache key);
+//    worker threads, workers sharing one resident bitmap on a dense graph,
+//    and concurrent batches on one runner matching serial runs) and
+//    PlanCache hit/miss accounting (labelings computed exactly once per
+//    cache key, also across concurrent batches);
 //  - the activity-contract satellite: multi-message, round-robin,
 //    color-robin, decay, and beep now hint, so the active set polls
 //    strictly less than the scan while staying bit-exact.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -23,8 +27,10 @@
 #include "core/runner.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
+#include "runtime/plan_store.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
+#include "runtime/wire.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
@@ -421,6 +427,89 @@ TEST(SweepRunner, LambdaAckFamilySharesOneLabelingAcrossSchemes) {
   EXPECT_TRUE(runner.run({b})[0].ok);
   EXPECT_EQ(runner.cache_stats().plan_misses, 1u);
   EXPECT_EQ(runner.cache_stats().plan_hits, 3u);
+}
+
+// Four threads start overlapping cold batches on one store-backed runner
+// at once: each thread's results are byte-identical (wire JSON) to its
+// batch run alone, and every distinct key is labeled and compiled exactly
+// once across all of them.
+TEST(SweepRunner, ConcurrentBatchesMatchSerialRunsAndBuildEachKeyOnce) {
+  constexpr int kThreads = 4;
+  const auto batch_for = [](int t) {
+    std::vector<ExperimentSpec> batch;
+    const auto add = [&](const char* scheme, const std::string& generator,
+                         graph::NodeId source, bool compiled) {
+      ExperimentSpec spec;
+      spec.scheme = scheme;
+      spec.graph.generator = generator;
+      spec.source = source;
+      spec.config.compiled = compiled;
+      batch.push_back(std::move(spec));
+    };
+    // Every thread sweeps grid:3:4 (shared keys, sources 0-2 across
+    // threads); pairs of threads share a path.
+    for (const char* scheme : {"b", "ack", "arb", "round-robin"}) {
+      add(scheme, "grid:3:4", static_cast<graph::NodeId>(t % 3), false);
+    }
+    add("b", "grid:3:4", 0, true);
+    add("arb", "grid:3:4", 1, true);
+    add("b", "path:" + std::to_string(10 + t % 2), 0, false);
+    add("ack", "path:" + std::to_string(10 + t % 2), 0, true);
+    return batch;
+  };
+  const auto wire_lines = [](const std::vector<SchemeResult>& results) {
+    std::vector<std::string> lines;
+    for (const auto& r : results) {
+      lines.push_back(runtime::wire::to_json(r).dump());
+    }
+    return lines;
+  };
+
+  std::vector<std::vector<ExperimentSpec>> batches;
+  std::vector<std::vector<std::string>> expected;
+  runtime::PlanCacheStats serial_stats;
+  {
+    par::ThreadPool pool(2);
+    runtime::SweepRunner serial(pool);  // all batches in turn: the key count
+    for (int t = 0; t < kThreads; ++t) {
+      batches.push_back(batch_for(t));
+      par::ThreadPool alone_pool(1);
+      runtime::SweepRunner alone(alone_pool);
+      expected.push_back(wire_lines(alone.run(batches.back())));
+      serial.run(batches.back());
+    }
+    serial_stats = serial.cache_stats();
+  }
+  ASSERT_GT(serial_stats.plan_misses, 0u);
+  ASSERT_GT(serial_stats.compiled_misses, 0u);
+
+  const std::string dir =
+      ::testing::TempDir() + "radiocast_concurrent_sweep_store";
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    std::filesystem::remove_all(dir);
+    par::ThreadPool pool(workers);
+    runtime::PlanStore store(dir);
+    runtime::SweepRunner runner(pool);
+    runner.attach_store(&store);
+    std::vector<std::vector<std::string>> got(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = wire_lines(runner.run(batches[t]));
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], expected[t]) << "thread " << t << " @ " << workers;
+    }
+    const auto stats = runner.cache_stats();
+    EXPECT_EQ(stats.plan_misses, serial_stats.plan_misses) << workers;
+    EXPECT_EQ(stats.compiled_misses, serial_stats.compiled_misses) << workers;
+    EXPECT_EQ(stats.plan_store_hits, 0u) << workers;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // b runs on the shared λ_ack plan.  λ_ack differs from λ only by x3 at z,

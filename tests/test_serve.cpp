@@ -5,9 +5,10 @@
 //    GraphRef generator alone;
 //  - protocol errors (unknown type, unknown scheme, malformed spec, bad
 //    version) answer error frames and leave the connection usable;
-//  - concurrent clients coalesce into merged sweeps with results
-//    byte-identical to the serial path, in per-batch order, at several
-//    pool widths (TSan runs this suite via the `threaded` label);
+//  - concurrent clients run side by side with results byte-identical to
+//    local runs, in per-batch order, at several pool widths, and a bad
+//    batch fails only its own client (TSan runs this suite via its
+//    labels);
 //  - the binary result encoding matches the JSON results field for field;
 //  - error frames carry stable machine-readable codes, and the compact
 //    control frame GCs the plan store;
@@ -281,18 +282,15 @@ TEST(Serve, ShutdownRequestStopsTheServer) {
   EXPECT_FALSE(late.connect_tcp(server.tcp_port()) && late.ping());
 }
 
-// N concurrent clients × overlapping and disjoint batches, against both
-// the serial path (pipeline depth 0) and the pipelined executor, at
-// several pool widths: every batch's results must be byte-identical to a
-// local serial run, in the batch's own spec order (run_batch checks index
-// order).  This is the differential that pins cross-connection admission.
-TEST(Serve, PipelinedDifferentialMatchesSerialAcrossThreadCounts) {
+// N concurrent clients × overlapping and disjoint batches at several pool
+// widths: every batch's results must be byte-identical to a local run, in
+// the batch's own spec order (run_batch checks index order).
+TEST(Serve, ConcurrentClientsMatchLocalRunsAcrossThreadCounts) {
   constexpr int kClients = 4;
   constexpr int kRounds = 3;
 
   // Per-client workload: even clients share demo_specs() (overlapping —
-  // these coalesce onto the same labelings), odd clients sweep their own
-  // graph (disjoint).
+  // these share labelings), odd clients sweep their own graph (disjoint).
   std::vector<std::vector<runtime::ExperimentSpec>> batches(kClients);
   for (int c = 0; c < kClients; ++c) {
     if (c % 2 == 0) {
@@ -315,111 +313,52 @@ TEST(Serve, PipelinedDifferentialMatchesSerialAcrossThreadCounts) {
 
   for (const std::size_t pool_threads : {std::size_t{1}, std::size_t{2},
                                          std::size_t{8}}) {
-    for (const std::size_t depth : {std::size_t{0}, std::size_t{32}}) {
-      par::ThreadPool pool(pool_threads);
-      runtime::SweepRunner runner(pool);
-      ServerOptions options;
-      options.executor.pipeline_depth = depth;
-      Server server(runner, options);
-      server.start();
+    par::ThreadPool pool(pool_threads);
+    runtime::SweepRunner runner(pool);
+    Server server(runner, ServerOptions{});
+    server.start();
 
-      std::vector<std::string> errors(kClients);
-      std::vector<std::thread> threads;
-      for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&, c] {
-          Client client;
-          if (!client.connect_tcp(server.tcp_port())) {
-            errors[c] = "connect failed";
+    std::vector<std::string> errors(kClients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        Client client;
+        if (!client.connect_tcp(server.tcp_port())) {
+          errors[c] = "connect failed";
+          return;
+        }
+        for (int round = 0; round < kRounds; ++round) {
+          const auto outcome = client.run_batch(
+              batches[c], static_cast<std::uint64_t>(c * kRounds + round));
+          if (!outcome.ok) {
+            errors[c] = outcome.error.empty() ? "batch failed" : outcome.error;
             return;
           }
-          for (int round = 0; round < kRounds; ++round) {
-            const auto outcome = client.run_batch(
-                batches[c], static_cast<std::uint64_t>(c * kRounds + round));
-            if (!outcome.ok) {
-              errors[c] =
-                  outcome.error.empty() ? "batch failed" : outcome.error;
-              return;
-            }
-            if (analysis::format_sweep(batches[c], outcome.results) !=
-                expected[c]) {
-              errors[c] = "results diverged from the serial run";
-              return;
-            }
+          if (analysis::format_sweep(batches[c], outcome.results) !=
+              expected[c]) {
+            errors[c] = "results diverged from the local run";
+            return;
           }
-        });
-      }
-      for (auto& t : threads) t.join();
-      for (int c = 0; c < kClients; ++c) {
-        EXPECT_EQ(errors[c], "")
-            << "client " << c << " @ pool=" << pool_threads
-            << " depth=" << depth;
-      }
-      EXPECT_EQ(server.stats().batches,
-                static_cast<std::uint64_t>(kClients * kRounds));
+        }
+      });
     }
+    for (auto& t : threads) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(errors[c], "") << "client " << c << " @ pool=" << pool_threads;
+    }
+    EXPECT_EQ(server.stats().batches,
+              static_cast<std::uint64_t>(kClients * kRounds));
   }
 }
 
-// Batches queued while a sweep is in flight merge into one submission;
-// with a coalesce window and a matching depth the merge is deterministic.
-TEST(Serve, PipelineCoalescesBackToBackBatches) {
-  constexpr std::size_t kBatches = 4;
+// One client's unresolvable batch fails only that batch: the same
+// connection's back-to-back batches before and after it still answer in
+// order, and concurrent clients are unaffected.
+TEST(Serve, BadBatchFailsOnlyItsOwnClient) {
   par::ThreadPool pool(2);
   runtime::SweepRunner runner(pool);
-  ServerOptions options;
-  options.executor.pipeline_depth = kBatches;
-  options.executor.coalesce_window_ms = 2000;  // ends early at depth
-  Server server(runner, options);
+  Server server(runner, ServerOptions{});
   server.start();
-  Client client;
-  ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
-
-  runtime::ExperimentSpec spec;
-  spec.scheme = "b";
-  spec.graph.generator = "grid:3:4";
-  Json specs_json(Json::Array{});
-  specs_json.push_back(runtime::wire::to_json(spec));
-  // Send all batches before reading any response: they queue at the
-  // admission stage and the run thread merges them.
-  for (std::size_t b = 0; b < kBatches; ++b) {
-    Json request(Json::Object{});
-    request.set("v", Json(runtime::wire::kWireVersion));
-    request.set("type", Json(std::string("batch")));
-    request.set("id", Json(std::uint64_t{b}));
-    request.set("specs", specs_json);
-    ASSERT_TRUE(client.send(request));
-  }
-  for (std::size_t b = 0; b < kBatches; ++b) {
-    const auto result = client.receive();
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->get("type").as_string(), "result");
-    EXPECT_EQ(result->get("id").as_uint(), b) << "responses out of order";
-    const auto done = client.receive();
-    ASSERT_TRUE(done.has_value());
-    EXPECT_EQ(done->get("type").as_string(), "done");
-    EXPECT_EQ(done->get("id").as_uint(), b);
-  }
-
-  const auto pipeline = server.pipeline_stats();
-  EXPECT_EQ(pipeline.batches, kBatches);
-  EXPECT_EQ(pipeline.submissions, 1u);
-  EXPECT_EQ(pipeline.coalesced_batches, kBatches);
-  EXPECT_EQ(pipeline.merged_specs, kBatches);
-  EXPECT_EQ(pipeline.fallback_splits, 0u);
-}
-
-// One client's unresolvable batch must not fail another's: the merged
-// sweep falls back to per-batch runs and only the bad batch errors.
-TEST(Serve, MergedSweepIsolatesABadBatchViaFallbackSplit) {
-  par::ThreadPool pool(2);
-  runtime::SweepRunner runner(pool);
-  ServerOptions options;
-  options.executor.pipeline_depth = 2;
-  options.executor.coalesce_window_ms = 2000;
-  Server server(runner, options);
-  server.start();
-  Client client;
-  ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
 
   runtime::ExperimentSpec good;
   good.scheme = "b";
@@ -428,32 +367,60 @@ TEST(Serve, MergedSweepIsolatesABadBatchViaFallbackSplit) {
   bad.scheme = "b";
   bad.graph.hash = 0xdeadbeef;  // unknown hash, no generator: unresolvable
 
-  for (std::size_t b = 0; b < 2; ++b) {
+  constexpr int kGoodClients = 3;
+  std::vector<std::string> errors(kGoodClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kGoodClients; ++c) {
+    threads.emplace_back([&, c] {
+      Client client;
+      if (!client.connect_tcp(server.tcp_port())) {
+        errors[c] = "connect failed";
+        return;
+      }
+      for (int round = 0; round < 5; ++round) {
+        if (!client.run_batch({good}).ok) {
+          errors[c] = "batch failed";
+          return;
+        }
+      }
+    });
+  }
+
+  Client client;
+  ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
+  // Good, bad, good back-to-back before reading any response.
+  for (std::size_t b = 0; b < 3; ++b) {
     Json request(Json::Object{});
     request.set("v", Json(runtime::wire::kWireVersion));
     request.set("type", Json(std::string("batch")));
     request.set("id", Json(std::uint64_t{b}));
     Json specs_json(Json::Array{});
-    specs_json.push_back(runtime::wire::to_json(b == 0 ? good : bad));
+    specs_json.push_back(runtime::wire::to_json(b == 1 ? bad : good));
     request.set("specs", std::move(specs_json));
     ASSERT_TRUE(client.send(request));
   }
-  const auto result = client.receive();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->get("type").as_string(), "result");
-  EXPECT_EQ(result->get("id").as_uint(), 0u);
-  const auto done = client.receive();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_EQ(done->get("type").as_string(), "done");
-  const auto error = client.receive();
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->get("type").as_string(), "error");
-  EXPECT_EQ(error->get("id").as_uint(), 1u);
-  EXPECT_EQ(error->get("code").as_string(), "run_failed");
+  for (std::size_t b = 0; b < 3; ++b) {
+    const auto first = client.receive();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->get("id").as_uint(), b) << "responses out of order";
+    if (b == 1) {
+      EXPECT_EQ(first->get("type").as_string(), "error");
+      EXPECT_EQ(first->get("code").as_string(), "run_failed");
+      continue;
+    }
+    EXPECT_EQ(first->get("type").as_string(), "result");
+    const auto done = client.receive();
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->get("type").as_string(), "done");
+    EXPECT_EQ(done->get("id").as_uint(), b);
+  }
 
-  EXPECT_EQ(server.pipeline_stats().fallback_splits, 1u);
-  // The connection survives and the good spec still runs.
-  EXPECT_TRUE(client.run_batch({good}).ok);
+  for (auto& t : threads) t.join();
+  for (int c = 0; c < kGoodClients; ++c) {
+    EXPECT_EQ(errors[c], "") << "client " << c;
+  }
+  EXPECT_EQ(server.stats().errors, 1u);
+  EXPECT_EQ(server.stats().batches, kGoodClients * 5u + 2u);
 }
 
 // "encoding":"binary" answers the same outcomes as the JSON path, field
@@ -621,8 +588,8 @@ TEST(Serve, CompactControlFrameEvictsStoreRecords) {
   EXPECT_GT(store.entry_count(), 0u);
 }
 
-// The stats frame's namespaced shape: server / pipeline / cache (+ store
-// when attached).
+// The stats frame's namespaced shape: server / cache (+ store when
+// attached).
 TEST(Serve, StatsFrameHasNamespacedSections) {
   par::ThreadPool pool(2);
   runtime::SweepRunner runner(pool);
@@ -640,12 +607,7 @@ TEST(Serve, StatsFrameHasNamespacedSections) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->get("server").get("graphs").as_uint(), 1u);
   EXPECT_EQ(reply->get("server").get("batches").as_uint(), 1u);
-  const auto& pipeline = reply->get("pipeline");
-  EXPECT_TRUE(pipeline.get("enabled").as_bool());
-  EXPECT_EQ(pipeline.get("depth").as_uint(), 32u);
-  EXPECT_EQ(pipeline.get("batches").as_uint(), 1u);
-  EXPECT_EQ(pipeline.get("submissions").as_uint(), 1u);
-  EXPECT_EQ(pipeline.get("queue_depth").as_uint(), 0u);
+  EXPECT_TRUE(reply->get("store").is_null());  // no store attached
   EXPECT_GT(reply->get("cache").get("plan_misses").as_uint(), 0u);
 }
 

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -178,6 +184,97 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
   bool touched = false;
   par::parallel_for(pool, 0, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
+}
+
+TEST(ParallelFor, TwoCallersOnOneWorkerBothFinish) {
+  par::ThreadPool pool(1);
+  std::vector<std::atomic<int>> a(500);
+  std::vector<std::atomic<int>> b(500);
+  std::thread other([&] {
+    par::parallel_for(pool, b.size(), [&](std::size_t i) { ++b[i]; });
+  });
+  par::parallel_for(pool, a.size(), [&](std::size_t i) { ++a[i]; });
+  other.join();
+  for (const auto& h : a) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : b) EXPECT_EQ(h.load(), 1);
+}
+
+// A call returns once its own indices are done, even while another
+// caller's body still occupies a worker.
+TEST(ParallelFor, CompletesWithoutWaitingForOtherCallers) {
+  par::ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocker_started = false;
+  bool first_done = false;
+  bool released_in_time = false;
+  std::thread blocker([&] {
+    par::parallel_for(pool, 1, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      blocker_started = true;
+      cv.notify_all();
+      released_in_time = cv.wait_for(lock, std::chrono::seconds(30),
+                                     [&] { return first_done; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocker_started; });
+  }
+  std::vector<std::atomic<int>> hits(100);
+  par::parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    first_done = true;
+  }
+  cv.notify_all();
+  blocker.join();
+  EXPECT_TRUE(released_in_time);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, EveryIndexRunsOnceUnderContention) {
+  par::ThreadPool pool(2);
+  constexpr std::size_t kCallers = 4;
+  const std::size_t grains[kCallers] = {1, 3, 7, 64};
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(2000);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 5; ++round) {
+        par::parallel_for(
+            pool, hits[c].size(), [&](std::size_t i) { ++hits[c][i]; },
+            grains[c]);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), 5);
+  }
+}
+
+TEST(ParallelFor, ExceptionReachesOnlyItsOwnCaller) {
+  par::ThreadPool pool(2);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(300);
+    bool other_threw = false;
+    std::thread other([&] {
+      try {
+        par::parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+      } catch (...) {
+        other_threw = true;
+      }
+    });
+    const auto boom = [](std::size_t i) {
+      if (i == 5) throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(par::parallel_for(pool, 300, boom), std::runtime_error);
+    other.join();
+    EXPECT_FALSE(other_threw);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 }  // namespace

@@ -5,11 +5,11 @@ Speaks the daemon's wire protocol (u32 little-endian length-prefixed JSON
 frames, see src/serve/server.hpp) from the Python standard library alone.
 Subcommands:
 
-  batch     send a spec batch (or --batches N of them back-to-back, which
-            exercises the daemon's pipelined coalescing) and print the last
-            "done" frame's cache stats as JSON on stdout; non-zero exit if
-            any spec fails to return.  --encoding binary opts into the
-            compact radiocast-resbin/1 result frames.
+  batch     send a spec batch (or --batches N of them back-to-back before
+            reading any response) and print the last "done" frame's cache
+            stats as JSON on stdout; non-zero exit if any spec fails to
+            return.  --encoding binary opts into the compact
+            radiocast-resbin/1 result frames.
   stats     print the server's stats frame
   compact   GC the daemon's plan store down to --max-bytes
   shutdown  request a clean server shutdown (expects "bye")
@@ -274,8 +274,8 @@ def read_batch_response(conn, batch_id, count, args):
 def cmd_batch(conn, args):
     specs = make_specs(args)
     # Send every batch before reading any response: with --batches > 1 the
-    # requests queue at the daemon while earlier batches run, which is
-    # exactly the pipelined-coalescing regime the executor exists for.
+    # requests wait in the socket buffer while earlier batches run, so the
+    # daemon answers back-to-back batches in order.
     for b in range(args.batches):
         request = {
             "v": WIRE_VERSION,
@@ -406,7 +406,7 @@ def main():
         type=int,
         default=1,
         help="send this many copies of the batch back-to-back before "
-        "reading responses (exercises pipelined coalescing)",
+        "reading responses",
     )
     batch.add_argument(
         "--encoding",
