@@ -348,12 +348,13 @@ struct ExecutionBuilder {
 // ---------------------------------------------------------------------------
 // B_ack (Algorithm 2 / Theorem 3.9)
 
-CompiledAckRunner::CompiledAckRunner(const Graph& g, const Labeling& labeling,
-                                     std::uint32_t mu,
+CompiledAckRunner::CompiledAckRunner(const Graph& g,
+                                     const std::vector<Label>& labels,
+                                     NodeId source, std::uint32_t mu,
                                      sim::BackendKind backend,
                                      std::uint64_t max_rounds)
     : graph_(g),
-      source_(labeling.source),
+      source_(source),
       backend_(sim::make_engine_backend(g, backend)) {
   const auto n = g.node_count();
   if (max_rounds == 0) {
@@ -387,7 +388,7 @@ CompiledAckRunner::CompiledAckRunner(const Graph& g, const Labeling& labeling,
   for (std::uint64_t r = 1; r <= max_rounds; ++r) {
     builder.begin_round();
     for (const NodeId v : agenda.take(r)) {
-      const Label lab = labeling.labels[v];
+      const Label lab = labels[v];
       // Lines 18-19 of Algorithm 2: z starts the acknowledgement process
       // the round after it is informed, pre-empting its x2 rule.
       std::optional<Message> z_ack;
@@ -461,9 +462,9 @@ ReplayResult CompiledAckRunner::run(sim::TraceLevel level) {
 // B_arb (§4)
 
 CompiledArbRunner::CompiledArbRunner(const Graph& g,
-                                     const ArbLabeling& labeling,
-                                     NodeId source, std::uint32_t mu,
-                                     sim::BackendKind backend,
+                                     const std::vector<Label>& labels,
+                                     NodeId coordinator, NodeId source,
+                                     std::uint32_t mu, sim::BackendKind backend,
                                      std::uint64_t max_rounds)
     : graph_(g), backend_(sim::make_engine_backend(g, backend)) {
   const auto n = g.node_count();
@@ -471,7 +472,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   if (max_rounds == 0) {
     max_rounds = 16 * std::max<std::uint64_t>(n, 2) + 16;  // run_arbitrary
   }
-  const NodeId coord = labeling.coordinator;
+  const NodeId coord = coordinator;
   prediction_.coordinator = coord;
 
   // Flat image of ArbProtocol: three stamped phases, two ack relays, the
@@ -506,7 +507,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   sim::RoundResolution res;
 
   const auto decide = [&](NodeId v, std::uint64_t r) -> std::optional<Message> {
-    const Label lab = labeling.labels[v];
+    const Label lab = labels[v];
     const bool is_coord = v == coord;
     const bool is_z = lab.x3 && !lab.x1 && !lab.x2;
     // r = source corner case: start phase 3 on a timer, T + 1 rounds after

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/labeling.hpp"
@@ -144,15 +143,15 @@ struct AckPrediction {
 /// and replays it without protocol dispatch.
 class CompiledAckRunner {
  public:
-  /// `max_rounds` bounds the prediction exactly like the engine's round
-  /// budget bounds `run_until` (0 = the `run_acknowledged` default, 6n+16).
-  CompiledAckRunner(const Graph& g, const Labeling& labeling, std::uint32_t mu,
+  /// `labels` is a λ_ack labeling with µ = `mu` at `source`.  `max_rounds`
+  /// bounds the prediction exactly like the engine's round budget bounds
+  /// `run_until` (0 = the `run_acknowledged` default, 6n+16).
+  CompiledAckRunner(const Graph& g, const std::vector<Label>& labels,
+                    NodeId source, std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
                     std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
-  /// Moves the execution out, leaving an empty one behind.
-  CompiledExecution take_execution() { return std::exchange(exec_, {}); }
   const AckPrediction& prediction() const noexcept { return prediction_; }
   sim::BackendKind backend_kind() const noexcept { return backend_->kind(); }
 
@@ -187,14 +186,14 @@ struct ArbPrediction {
 /// whole execution, and replays it without protocol dispatch.
 class CompiledArbRunner {
  public:
-  CompiledArbRunner(const Graph& g, const ArbLabeling& labeling, NodeId source,
-                    std::uint32_t mu,
+  /// `labels` is a λ_arb labeling whose coordinator (label 111) is
+  /// `coordinator`; `source` holds µ = `mu`.
+  CompiledArbRunner(const Graph& g, const std::vector<Label>& labels,
+                    NodeId coordinator, NodeId source, std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
                     std::uint64_t max_rounds = 0);
 
   const CompiledExecution& execution() const noexcept { return exec_; }
-  /// Moves the execution out, leaving an empty one behind.
-  CompiledExecution take_execution() { return std::exchange(exec_, {}); }
   const ArbPrediction& prediction() const noexcept { return prediction_; }
   sim::BackendKind backend_kind() const noexcept { return backend_->kind(); }
 

@@ -15,11 +15,11 @@ using sim::Protocol;
 // BroadcastPopulation (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-BroadcastPopulation::BroadcastPopulation(const Labeling& labeling,
-                                         std::uint32_t mu)
-    : labels_(labeling.labels), rows_(labeling.labels.size()), mu_(mu) {
-  RC_EXPECTS(labeling.source < rows_.size());
-  rows_[labeling.source].informed = true;
+BroadcastPopulation::BroadcastPopulation(const std::vector<Label>& labels,
+                                         NodeId source, std::uint32_t mu)
+    : labels_(labels), rows_(labels.size()), mu_(mu) {
+  RC_EXPECTS(source < rows_.size());
+  rows_[source].informed = true;
   informed_ = 1;
 }
 
@@ -196,12 +196,13 @@ std::uint64_t StampedPhase::next_active(NodeId v, Label l,
 // AckPopulation (Algorithm 2)
 // ---------------------------------------------------------------------------
 
-AckPopulation::AckPopulation(const Labeling& labeling, std::uint32_t mu)
-    : labels_(labeling.labels),
-      core_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kData, 0),
-      acks_(labeling.labels.size()) {
-  RC_EXPECTS(labeling.source < labels_.size());
-  core_.make_origin(labeling.source, mu, 1);
+AckPopulation::AckPopulation(const std::vector<Label>& labels, NodeId source,
+                             std::uint32_t mu)
+    : labels_(labels),
+      core_(static_cast<NodeId>(labels.size()), MsgKind::kData, 0),
+      acks_(labels.size()) {
+  RC_EXPECTS(source < labels_.size());
+  core_.make_origin(source, mu, 1);
   informed_ = 1;
 }
 
@@ -248,15 +249,15 @@ std::uint64_t AckPopulation::next_active(NodeId v, std::uint64_t r) const {
 // CommonRoundPopulation (§3 closing construction)
 // ---------------------------------------------------------------------------
 
-CommonRoundPopulation::CommonRoundPopulation(const Labeling& labeling,
-                                             std::uint32_t mu)
-    : labels_(labeling.labels),
-      phase1_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kData, 1),
-      phase2_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kData, 2),
-      acks_(labeling.labels.size()),
-      m_(labeling.labels.size(), 0) {
-  RC_EXPECTS(labeling.source < labels_.size());
-  phase1_.make_origin(labeling.source, mu, 1);
+CommonRoundPopulation::CommonRoundPopulation(const std::vector<Label>& labels,
+                                             NodeId source, std::uint32_t mu)
+    : labels_(labels),
+      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kData, 1),
+      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kData, 2),
+      acks_(labels.size()),
+      m_(labels.size(), 0) {
+  RC_EXPECTS(source < labels_.size());
+  phase1_.make_origin(source, mu, 1);
   informed_ = 1;
 }
 
@@ -335,14 +336,13 @@ std::uint64_t CommonRoundPopulation::next_active(NodeId v,
 // ArbPopulation (B_arb, §4)
 // ---------------------------------------------------------------------------
 
-ArbPopulation::ArbPopulation(const ArbLabeling& labeling, NodeId source,
+ArbPopulation::ArbPopulation(const std::vector<Label>& labels, NodeId source,
                              std::uint32_t mu)
-    : labels_(labeling.labels),
-      rows_(labeling.labels.size()),
-      phase1_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kInit, 1),
-      phase2_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kReady,
-              2),
-      phase3_(static_cast<NodeId>(labeling.labels.size()), MsgKind::kData, 3),
+    : labels_(labels),
+      rows_(labels.size()),
+      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kInit, 1),
+      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kReady, 2),
+      phase3_(static_cast<NodeId>(labels.size()), MsgKind::kData, 3),
       source_(source),
       mu_(mu) {
   RC_EXPECTS(source < labels_.size());

@@ -29,8 +29,9 @@ namespace radiocast::core {
 class BroadcastPopulation final
     : public sim::FlatPopulation<BroadcastPopulation> {
  public:
-  /// `labeling.source` holds µ = `mu`; only x1 and x2 are read.
-  BroadcastPopulation(const Labeling& labeling, std::uint32_t mu);
+  /// `source` holds µ = `mu`; only x1 and x2 are read.
+  BroadcastPopulation(const std::vector<Label>& labels, sim::NodeId source,
+                      std::uint32_t mu);
 
   sim::NodeId size() const noexcept override {
     return static_cast<sim::NodeId>(rows_.size());
@@ -141,7 +142,8 @@ struct HeardAck {
 /// paper's algorithm — resilient mode stays per-node).
 class AckPopulation final : public sim::FlatPopulation<AckPopulation> {
  public:
-  AckPopulation(const Labeling& labeling, std::uint32_t mu);
+  AckPopulation(const std::vector<Label>& labels, sim::NodeId source,
+                std::uint32_t mu);
 
   sim::NodeId size() const noexcept override {
     return static_cast<sim::NodeId>(labels_.size());
@@ -167,7 +169,8 @@ class AckPopulation final : public sim::FlatPopulation<AckPopulation> {
 class CommonRoundPopulation final
     : public sim::FlatPopulation<CommonRoundPopulation> {
  public:
-  CommonRoundPopulation(const Labeling& labeling, std::uint32_t mu);
+  CommonRoundPopulation(const std::vector<Label>& labels, sim::NodeId source,
+                        std::uint32_t mu);
 
   sim::NodeId size() const noexcept override {
     return static_cast<sim::NodeId>(labels_.size());
@@ -204,8 +207,8 @@ class CommonRoundPopulation final
 /// live once per population.
 class ArbPopulation final : public sim::FlatPopulation<ArbPopulation> {
  public:
-  /// `labeling` holds at most one 111 label; `source` holds µ = `mu`.
-  ArbPopulation(const ArbLabeling& labeling, sim::NodeId source,
+  /// `labels` hold at most one 111 label; `source` holds µ = `mu`.
+  ArbPopulation(const std::vector<Label>& labels, sim::NodeId source,
                 std::uint32_t mu);
 
   sim::NodeId size() const noexcept override {

@@ -66,52 +66,50 @@ ArbRun to_arb_run(const runtime::SchemeResult& r, NodeId coordinator) {
 }  // namespace
 
 std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
-    const Labeling& labeling, std::uint32_t mu) {
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
   std::vector<std::unique_ptr<sim::Protocol>> out;
-  out.reserve(labeling.labels.size());
-  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
     out.push_back(std::make_unique<BroadcastProtocol>(
-        labeling.labels[v],
-        v == labeling.source ? std::optional<std::uint32_t>(mu)
-                             : std::nullopt));
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
   }
   return out;
 }
 
 std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
-    const Labeling& labeling, std::uint32_t mu, bool resilient) {
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu,
+    bool resilient) {
   std::vector<std::unique_ptr<sim::Protocol>> out;
-  out.reserve(labeling.labels.size());
-  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
     out.push_back(std::make_unique<AckBroadcastProtocol>(
-        labeling.labels[v],
-        v == labeling.source ? std::optional<std::uint32_t>(mu)
-                             : std::nullopt,
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt,
         resilient));
   }
   return out;
 }
 
 std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
-    const Labeling& labeling, std::uint32_t mu) {
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
   std::vector<std::unique_ptr<sim::Protocol>> out;
-  out.reserve(labeling.labels.size());
-  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
     out.push_back(std::make_unique<CommonRoundProtocol>(
-        labeling.labels[v],
-        v == labeling.source ? std::optional<std::uint32_t>(mu)
-                             : std::nullopt));
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
   }
   return out;
 }
 
 std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
-    const ArbLabeling& labeling, NodeId source, std::uint32_t mu) {
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
   std::vector<std::unique_ptr<sim::Protocol>> out;
-  out.reserve(labeling.labels.size());
-  for (NodeId v = 0; v < labeling.labels.size(); ++v) {
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
     out.push_back(std::make_unique<ArbProtocol>(
-        labeling.labels[v],
+        labels[v],
         v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
   }
   return out;

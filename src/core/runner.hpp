@@ -36,17 +36,36 @@ inline std::uint64_t default_round_budget(std::uint32_t n,
   return factor * std::max<std::uint64_t>(n, 2) + 16;
 }
 
-/// Protocol vectors for tests that drive an Engine manually.
+/// Protocol vectors for tests that drive an Engine manually: one protocol
+/// per label, with µ = `mu` at `source`.
 std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
-    const Labeling& labeling, std::uint32_t mu);
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
 /// `resilient`: opt into B_ack's loss-tolerant retry mode (see
 /// AckBroadcastProtocol); the default is the paper's exact algorithm.
 std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
-    const Labeling& labeling, std::uint32_t mu, bool resilient = false);
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu,
+    bool resilient = false);
 std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
-    const Labeling& labeling, std::uint32_t mu);
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
 std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
-    const ArbLabeling& labeling, NodeId source, std::uint32_t mu);
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
+
+inline std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const Labeling& labeling, std::uint32_t mu) {
+  return make_broadcast_protocols(labeling.labels, labeling.source, mu);
+}
+inline std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const Labeling& labeling, std::uint32_t mu, bool resilient = false) {
+  return make_ack_protocols(labeling.labels, labeling.source, mu, resilient);
+}
+inline std::vector<std::unique_ptr<sim::Protocol>>
+make_common_round_protocols(const Labeling& labeling, std::uint32_t mu) {
+  return make_common_round_protocols(labeling.labels, labeling.source, mu);
+}
+inline std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const ArbLabeling& labeling, NodeId source, std::uint32_t mu) {
+  return make_arb_protocols(labeling.labels, source, mu);
+}
 
 /// Theorem 2.9 quantities for one (graph, source) execution of B.
 struct BroadcastRun {

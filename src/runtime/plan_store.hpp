@@ -1,5 +1,5 @@
 /// \file plan_store.hpp
-/// \brief On-disk persistence for labeling plans and compiled executions.
+/// \brief On-disk persistence for labeling plans and compiled results.
 ///
 /// The paper's premise is label-once, broadcast-forever — but PR 5's
 /// `PlanCache` only amortized a labeling within one process lifetime.  The
@@ -10,7 +10,7 @@
 ///
 /// Layout: one record file per entry under the store directory,
 ///   <fnv1a(key) as 16 hex digits>.plan    labeling plans
-///   <fnv1a(key) as 16 hex digits>.cplan   compiled executions
+///   <fnv1a(key) as 16 hex digits>.cplan   compiled results
 /// Record format (little-endian, via support/bytes.hpp):
 ///   magic "RCPS" | u32 format version (= kFormatVersion)
 ///   | str key | str family | str payload | u64 fnv1a(payload)
@@ -49,7 +49,9 @@ struct PlanStoreStats {
 /// mutex only guards the stats and the temp-name counter).
 class PlanStore {
  public:
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// 2: λ_ack / λ_arb plans pack their labels at 3 bits per node and keep
+  /// no stage sets; compiled records keep only µ, the result and the plan.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Opens (creating if needed) the store directory.  An unusable path
   /// violates a precondition.  Temp files left behind by a writer that

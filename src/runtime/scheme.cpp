@@ -140,6 +140,7 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
       budget);
   out.rounds = engine.round();
   out.tx_total = engine.transmissions_total();
+  out.max_node_tx = engine.max_tx_count();
   out.polls = engine.polls_total();
   out.all_informed = engine.all_informed();
   scheme.collect(engine, g, source, *plan, opt, config, out);

@@ -11,8 +11,9 @@
 ///   label(g, source)      the centralized half; an opaque, shareable Plan
 ///   make_protocols(...)   the distributed half; one sim::Protocol per node
 ///   make_population(...)  optional: the same half as one flat population
-///   compile(...)          optional: the label-determined execution lowered
-///                         to flat arrays (Lemma 2.8 and friends)
+///   compile(...)          optional: the label-determined execution's
+///                         observables, predicted without an engine
+///                         (Lemma 2.8 and friends)
 ///   verify(trace)         optional: check a recorded execution against the
 ///                         paper's per-round characterization
 ///
@@ -65,8 +66,8 @@ struct SchemeOptions {
 
 /// The centralized half of a scheme, computed once per (graph, plan-family)
 /// cache key and shared read-only across executions.  Concrete schemes
-/// subclass this with whatever their labeling produces (a core::Labeling, a
-/// bit vector, a G² coloring, ...).
+/// subclass this with whatever their labeling produces (the labels, a bit
+/// vector, a G² coloring, ...).
 struct Plan {
   virtual ~Plan() = default;
 
@@ -77,12 +78,13 @@ struct Plan {
 };
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// A label-determined execution lowered to data (plus its precomputed
-/// observables), cacheable per (graph, scheme, source).
+/// The predicted observables of a label-determined execution, cacheable per
+/// (graph, scheme, source); a full-trace replay re-derives the execution.
 struct CompiledPlan {
   virtual ~CompiledPlan() = default;
 
-  /// Approximate resident bytes (see Plan::footprint).
+  /// Approximate resident bytes (see Plan::footprint), counting only what
+  /// this entry owns: a plan it shares with the cache is charged there.
   virtual std::size_t footprint() const noexcept { return 64; }
 };
 using CompiledPlanPtr = std::shared_ptr<const CompiledPlan>;
@@ -198,9 +200,9 @@ class Scheme {
                     const SchemeOptions& opt) const;
 
   /// Extracts the scheme observables once the engine stopped.  `out` arrives
-  /// with the execution-generic fields (rounds, tx_total, polls,
-  /// all_informed) filled; `config` tells the scheme whether a full trace
-  /// was recorded (trace-derived counters are only exact then).
+  /// with the execution-generic fields (rounds, tx_total, max_node_tx,
+  /// polls, all_informed) filled; `config` tells the scheme whether a full
+  /// trace was recorded (trace-derived counters are only exact then).
   virtual void collect(const sim::Engine& engine, const Graph& g,
                        NodeId source, const Plan& plan,
                        const SchemeOptions& opt, const ExecutionConfig& config,
@@ -211,8 +213,9 @@ class Scheme {
   virtual bool run_trivial(const Graph& g, NodeId source, const Plan& plan,
                            const SchemeOptions& opt, SchemeResult& out) const;
 
-  /// Lowers the label-determined execution (can_compile() schemes only).
-  /// Takes the plan by shared pointer so the compiled plan can retain it.
+  /// Predicts the label-determined execution's observables (can_compile()
+  /// schemes only).  Takes the plan by shared pointer so the compiled plan
+  /// can retain it for full-trace replays.
   virtual CompiledPlanPtr compile(const Graph& g, NodeId source,
                                   const PlanPtr& plan,
                                   const SchemeOptions& opt,

@@ -5,6 +5,7 @@
 ///        each expressed once through the `runtime::Scheme` interface.
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <optional>
 
 #include "baselines/baselines.hpp"
@@ -56,109 +57,169 @@ std::vector<std::uint32_t> multi_schedule(const SchemeOptions& opt) {
 // ---------------------------------------------------------------------------
 // Plan codecs: the PlanStore payload formats.  Every payload opens with a
 // one-byte shape tag, so a record that reaches the wrong decoder (renamed
-// file, family collision) fails the tag check instead of misparsing.  The
-// struct-level helpers below are shared by every scheme whose plan embeds
-// that struct; decoders return false on any reader failure or semantic
-// violation and never throw on untrusted bytes.
+// file, family collision) fails the tag check instead of misparsing.
+// Decoders return nullptr on any reader failure or semantic violation and
+// never throw on untrusted bytes.
 // ---------------------------------------------------------------------------
 
 using support::ByteReader;
 using support::ByteWriter;
 
-constexpr std::uint8_t kTagLabeling = 0x4C;  // 'L': LabelingPlan
-constexpr std::uint8_t kTagArb = 0x41;       // 'A': ArbPlan
+constexpr std::uint8_t kTagLabeling = 0x4C;  // 'L': λ_ack LabelPlan
+constexpr std::uint8_t kTagArb = 0x41;       // 'A': λ_arb LabelPlan
 constexpr std::uint8_t kTagOneBit = 0x4F;    // 'O': OneBitPlan
 constexpr std::uint8_t kTagColoring = 0x43;  // 'C': ColoringPlan
 constexpr std::uint8_t kTagEmpty = 0x45;     // 'E': EmptyPlan
-constexpr std::uint8_t kTagBReplay = 0x42;   // 'B': BCompiledPlan
-constexpr std::uint8_t kTagExec = 0x58;      // 'X': ExecCompiledPlan
+constexpr std::uint8_t kTagResult = 0x52;    // 'R': CompiledResult
 
-void encode_labels(const std::vector<core::Label>& labels, ByteWriter& out) {
-  out.u64(labels.size());
-  for (const core::Label& l : labels) out.u8(l.value());
-}
+/// A λ_ack or λ_arb plan as the paper ships it: one label per node plus the
+/// scalars that name the construction.  The stage sets are never kept;
+/// `staged_labeling` rebuilds them through the labeler for the two
+/// consumers that read them (b's schedule prediction and Lemma 2.8).
+struct LabelPlan final : Plan {
+  std::vector<core::Label> labels;
+  NodeId anchor = graph::kNoNode;  ///< λ_ack: the source; λ_arb: r
+  NodeId z = graph::kNoNode;       ///< the last-informed node (label 001)
+  std::uint32_t ell = 0;           ///< stage count (Lemma 2.6)
+  core::DomPolicy policy = core::DomPolicy::kAscendingId;
+  std::uint64_t seed = 0;
 
-bool decode_labels(ByteReader& in, std::vector<core::Label>& out) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > in.remaining()) return false;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t v = in.u8();
-    if (v > 7) return false;
-    out.push_back({(v & 4) != 0, (v & 2) != 0, (v & 1) != 0});
+  std::size_t footprint() const noexcept override {
+    return sizeof(*this) + labels.capacity() * sizeof(core::Label);
   }
-  return in.ok();
+};
+
+/// `plan` as the LabelPlan it is; one with a different node count labels
+/// another graph (a misaddressed record), a precondition violation.
+const LabelPlan& label_plan(const Plan& plan, const Graph& g) {
+  const auto& p = static_cast<const LabelPlan&>(plan);
+  RC_EXPECTS_MSG(p.labels.size() == g.node_count(),
+                 "plan labels a graph of another size");
+  return p;
 }
 
-void encode_node_sets(const std::vector<std::vector<NodeId>>& sets,
-                      ByteWriter& out) {
-  out.u64(sets.size());
-  for (const auto& set : sets) out.vec_u32(set);
+/// λ_ack with source `anchor`, or λ_arb with coordinator `anchor`.
+PlanPtr make_label_plan(const Graph& g, NodeId anchor,
+                        const SchemeOptions& opt, bool arb) {
+  auto plan = std::make_shared<LabelPlan>();
+  const auto take = [&](auto&& labeling) {
+    plan->labels = std::move(labeling.labels);
+    plan->z = labeling.z;
+    plan->ell = labeling.stages.ell;
+  };
+  if (arb) {
+    take(core::label_arbitrary(g, anchor, {opt.policy, opt.seed}));
+  } else {
+    take(core::label_acknowledged(g, anchor, {opt.policy, opt.seed}));
+  }
+  plan->anchor = anchor;
+  plan->policy = opt.policy;
+  plan->seed = opt.seed;
+  return plan;
 }
 
-bool decode_node_sets(ByteReader& in,
-                      std::vector<std::vector<NodeId>>& out) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > in.remaining()) return false;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out.push_back(in.vec_u32());
-    if (!in.ok()) return false;
+/// The λ_ack labeling behind `p`, stage sets included, rebuilt through the
+/// labeler: the construction is deterministic in (graph, source, policy,
+/// seed), and `test_labeling_golden` pins it.
+core::Labeling rebuild_labeling(const Graph& g, const LabelPlan& p) {
+  return core::label_acknowledged(g, p.anchor, {p.policy, p.seed});
+}
+
+/// `rebuild_labeling`, required to reproduce the plan's labels.
+core::Labeling staged_labeling(const Graph& g, const LabelPlan& p) {
+  core::Labeling labeling = rebuild_labeling(g, p);
+  RC_EXPECTS_MSG(labeling.labels == p.labels,
+                 "plan labels differ from the labeler's output");
+  return labeling;
+}
+
+/// True iff `p` is a labeling λ_ack (or, with `arb`, λ_arb) can produce:
+/// ids below n, 1 ≤ ℓ ≤ n (Lemma 2.6), and labels in Fact 3.1's alphabet —
+/// x3 at z alone, labeled 001, and λ_arb's 111 at the coordinator alone.
+bool well_formed(const LabelPlan& p, bool arb) {
+  const std::size_t n = p.labels.size();
+  if (p.anchor >= n || p.z >= n || p.ell == 0 || p.ell > n) return false;
+  // λ_ack's one-node case: z is the source, and nothing carries x3.
+  if (n == 1) return !arb && p.labels[0] == core::Label{};
+  if (p.z == p.anchor) return false;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint8_t value = p.labels[v].value();
+    if (arb && v == p.anchor) {
+      if (value != 0b111) return false;
+    } else if (v == p.z) {
+      if (value != 0b001) return false;
+    } else if ((value & 1) != 0) {
+      return false;  // x3 off z: 101, 111 or 011
+    }
   }
   return true;
 }
 
-void encode_stage_sets(const core::StageSets& s, ByteWriter& out) {
-  encode_node_sets(s.dom, out);
-  encode_node_sets(s.fresh, out);
-  encode_node_sets(s.frontier, out);
-  out.u32(s.ell);
-  out.vec_u32(s.stage_of);
-  out.u32(s.source);
+/// The packed LabelPlan payload, at most ⌈3n/8⌉ + 26 bytes:
+///   tag | u32 n | u32 anchor | u32 z | u32 ℓ | u8 policy | u64 seed
+///   | ⌈3n/8⌉ label bytes
+/// Node v's `Label::value()` occupies bits 3v..3v+2 of the little-endian
+/// bit stream; the pad bits after the last label are zero.
+void encode_label_plan(std::uint8_t tag, const Plan& plan, ByteWriter& out) {
+  const auto& p = static_cast<const LabelPlan&>(plan);
+  out.u8(tag);
+  out.u32(static_cast<std::uint32_t>(p.labels.size()));
+  out.u32(p.anchor);
+  out.u32(p.z);
+  out.u32(p.ell);
+  out.u8(static_cast<std::uint8_t>(p.policy));
+  out.u64(p.seed);
+  std::uint32_t bits = 0;
+  int pending = 0;
+  for (const core::Label& l : p.labels) {
+    bits |= std::uint32_t{l.value()} << pending;
+    pending += 3;
+    if (pending >= 8) {
+      out.u8(static_cast<std::uint8_t>(bits));
+      bits >>= 8;
+      pending -= 8;
+    }
+  }
+  if (pending > 0) out.u8(static_cast<std::uint8_t>(bits));
 }
 
-bool decode_stage_sets(ByteReader& in, core::StageSets& out) {
-  if (!decode_node_sets(in, out.dom)) return false;
-  if (!decode_node_sets(in, out.fresh)) return false;
-  if (!decode_node_sets(in, out.frontier)) return false;
-  out.ell = in.u32();
-  out.stage_of = in.vec_u32();
-  out.source = in.u32();
-  return in.ok() && out.dom.size() == out.fresh.size() &&
-         out.dom.size() == out.frontier.size();
+/// Decodes `encode_label_plan` output that opens with `tag`, leaving any
+/// bytes after the labels unread.
+std::shared_ptr<LabelPlan> decode_label_plan(std::uint8_t tag, ByteReader& in) {
+  if (in.u8() != tag || !in.ok()) return nullptr;
+  auto plan = std::make_shared<LabelPlan>();
+  const std::uint32_t n = in.u32();
+  plan->anchor = in.u32();
+  plan->z = in.u32();
+  plan->ell = in.u32();
+  const std::uint8_t policy = in.u8();
+  plan->seed = in.u64();
+  if (!in.ok() || n == 0 || (3ull * n + 7) / 8 > in.remaining() ||
+      policy >= std::size(core::kAllDomPolicies)) {
+    return nullptr;
+  }
+  plan->policy = static_cast<core::DomPolicy>(policy);
+  plan->labels.resize(n);
+  std::uint32_t bits = 0;
+  int pending = 0;
+  for (core::Label& l : plan->labels) {
+    if (pending < 3) {
+      bits |= std::uint32_t{in.u8()} << pending;
+      pending += 8;
+    }
+    l = {(bits & 4) != 0, (bits & 2) != 0, (bits & 1) != 0};
+    bits >>= 3;
+    pending -= 3;
+  }
+  if (bits != 0 || !well_formed(*plan, tag == kTagArb)) return nullptr;
+  return plan;
 }
 
-void encode_labeling(const core::Labeling& l, ByteWriter& out) {
-  encode_labels(l.labels, out);
-  encode_stage_sets(l.stages, out);
-  out.u32(l.source);
-  out.u32(l.z);
-}
-
-bool decode_labeling(ByteReader& in, core::Labeling& out) {
-  if (!decode_labels(in, out.labels)) return false;
-  if (!decode_stage_sets(in, out.stages)) return false;
-  out.source = in.u32();
-  out.z = in.u32();
-  return in.ok() && out.labels.size() == out.stages.stage_of.size();
-}
-
-std::size_t node_sets_bytes(const std::vector<std::vector<NodeId>>& sets) {
-  std::size_t bytes = sets.size() * sizeof(std::vector<NodeId>);
-  for (const auto& set : sets) bytes += set.size() * sizeof(NodeId);
-  return bytes;
-}
-
-std::size_t labeling_bytes(const core::Labeling& l) {
-  return l.labels.size() * sizeof(core::Label) +
-         node_sets_bytes(l.stages.dom) + node_sets_bytes(l.stages.fresh) +
-         node_sets_bytes(l.stages.frontier) +
-         l.stages.stage_of.size() * sizeof(std::uint32_t);
-}
-
-/// SchemeResult binary codec (counters only; the trace never persists).
-/// Field order matches the struct declaration.
+/// SchemeResult's fixed-width binary codec: the scalar observables in
+/// declaration order.  Compiled results never carry multi's per-message
+/// ack rounds, and the trace never persists.
 void encode_result(const SchemeResult& r, ByteWriter& out) {
+  RC_ASSERT(r.ack_rounds.empty());
   out.boolean(r.ok);
   out.boolean(r.all_informed);
   out.boolean(r.labeling_found);
@@ -180,7 +241,6 @@ void encode_result(const SchemeResult& r, ByteWriter& out) {
   out.u32(r.attempts);
   out.u32(r.ones);
   out.u32(r.label_bits);
-  out.vec_u64(r.ack_rounds);
   out.u64(r.rounds_per_message);
 }
 
@@ -206,88 +266,112 @@ bool decode_result(ByteReader& in, SchemeResult& r) {
   r.attempts = in.u32();
   r.ones = in.u32();
   r.label_bits = in.u32();
-  r.ack_rounds = in.vec_u64();
   r.rounds_per_message = in.u64();
   return in.ok();
 }
 
-void encode_execution(const core::CompiledExecution& e, ByteWriter& out) {
-  out.u64(e.rounds);
-  out.vec_u32(e.offsets);
-  out.vec_u32(e.transmitters);
-  out.u64(e.messages.size());
-  for (const sim::Message& m : e.messages) {
-    out.u8(static_cast<std::uint8_t>(m.kind));
-    out.u8(m.phase);
-    out.u32(m.payload);
-    out.boolean(m.stamp.has_value());
-    if (m.stamp) out.u64(*m.stamp);
-  }
-}
-
-bool decode_execution(ByteReader& in, core::CompiledExecution& e) {
-  e.rounds = in.u64();
-  e.offsets = in.vec_u32();
-  e.transmitters = in.vec_u32();
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > in.remaining()) return false;
-  e.messages.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::Message m;
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(sim::MsgKind::kReady)) return false;
-    m.kind = static_cast<sim::MsgKind>(kind);
-    m.phase = in.u8();
-    m.payload = in.u32();
-    if (in.boolean()) m.stamp = in.u64();
-    e.messages.push_back(m);
-  }
-  // Shape invariants the replay path indexes by: offsets bracket every
-  // round, and the flat arrays are parallel.
-  if (!in.ok() || e.offsets.size() != e.rounds + 1) return false;
-  if (e.messages.size() != e.transmitters.size()) return false;
-  if (!e.offsets.empty() &&
-      (e.offsets.front() != 0 || e.offsets.back() != e.transmitters.size())) {
-    return false;
-  }
-  for (std::size_t i = 1; i < e.offsets.size(); ++i) {
-    if (e.offsets[i - 1] > e.offsets[i]) return false;
-  }
-  return true;
-}
-
-std::size_t execution_bytes(const core::CompiledExecution& e) {
-  return e.offsets.size() * sizeof(std::uint32_t) +
-         e.transmitters.size() * sizeof(NodeId) +
-         e.messages.size() * sizeof(sim::Message);
-}
-
-// ---------------------------------------------------------------------------
-// λ_ack schemes: B, B_ack, common-round (one λ_ack labeling as the plan)
-// ---------------------------------------------------------------------------
-
-struct LabelingPlan final : Plan {
-  core::Labeling labeling;
+/// A compiled b / ack / arb entry: the observables of the label-determined
+/// execution, plus the plan and µ a kFull replay re-runs the predictor
+/// from.  The predicted execution itself is never kept.
+struct CompiledResult final : CompiledPlan {
+  PlanPtr plan;
+  std::uint32_t mu = 0;
+  SchemeResult result;
+  /// Decoded from a record: the plan is this entry's own copy, not the
+  /// plan cache's.
+  bool owns_plan = false;
 
   std::size_t footprint() const noexcept override {
-    return sizeof(*this) + labeling_bytes(labeling);
+    return sizeof(*this) + (owns_plan ? plan->footprint() : 0);
   }
 };
 
-void encode_labeling_plan(const Plan& plan, ByteWriter& out) {
-  out.u8(kTagLabeling);
-  encode_labeling(static_cast<const LabelingPlan&>(plan).labeling, out);
+std::shared_ptr<CompiledResult> compiled_result(const PlanPtr& plan,
+                                                std::uint32_t mu) {
+  auto out = std::make_shared<CompiledResult>();
+  out->plan = plan;
+  out->mu = mu;
+  return out;
 }
 
-PlanPtr decode_labeling_plan(ByteReader& in) {
-  if (in.u8() != kTagLabeling || !in.ok()) return nullptr;
-  auto plan = std::make_shared<LabelingPlan>();
-  if (!decode_labeling(in, plan->labeling)) return nullptr;
-  return plan;
+/// tx_total and max_node_tx of a predicted execution.
+void count_transmissions(const core::CompiledExecution& exec, NodeId n,
+                         SchemeResult& r) {
+  std::vector<std::uint64_t> per_node(n, 0);
+  for (const NodeId v : exec.transmitters) {
+    r.max_node_tx = std::max(r.max_node_tx, ++per_node[v]);
+  }
+  r.tx_total = exec.transmitters.size();
 }
+
+/// The round cap of a compiled prediction: the engine path's budget.
+std::uint64_t round_cap(const Graph& g, const ExecutionConfig& config,
+                        std::uint64_t factor) {
+  if (config.max_rounds != 0) return config.max_rounds;
+  return core::default_round_budget(g.node_count(), factor);
+}
+
+/// Shared base of the schemes whose plan is a LabelPlan: the packed plan
+/// codec and the result-only compiled codec.
+class LabelPlanScheme : public Scheme {
+ public:
+  bool can_store_plans() const noexcept override { return true; }
+
+  void encode_plan(const Plan& plan, ByteWriter& out) const override {
+    encode_label_plan(tag(), plan, out);
+  }
+  PlanPtr decode_plan(ByteReader& in) const override {
+    PlanPtr plan = decode_label_plan(tag(), in);
+    return in.exhausted() ? plan : nullptr;
+  }
+
+  /// tag | LabelPlan payload | u32 µ | fixed-width SchemeResult.
+  void encode_compiled(const CompiledPlan& compiled,
+                       ByteWriter& out) const override {
+    const auto& c = static_cast<const CompiledResult&>(compiled);
+    out.u8(kTagResult);
+    encode_label_plan(tag(), *c.plan, out);
+    out.u32(c.mu);
+    encode_result(c.result, out);
+  }
+  CompiledPlanPtr decode_compiled(ByteReader& in) const override {
+    if (in.u8() != kTagResult || !in.ok()) return nullptr;
+    auto out = std::make_shared<CompiledResult>();
+    out->plan = decode_label_plan(tag(), in);
+    out->owns_plan = true;
+    out->mu = in.u32();
+    if (out->plan == nullptr || !decode_result(in, out->result) ||
+        !in.exhausted()) {
+      return nullptr;
+    }
+    return out;
+  }
+
+ protected:
+  virtual std::uint8_t tag() const noexcept { return kTagLabeling; }
+};
+
+/// The λ_ack family: one λ_ack construction serves B, B_ack, common-round
+/// and multi.  λ_ack is λ plus x3 at z, where x1 = x2 = 0 (Fact 3.1), and B
+/// reads only x1 and x2, so B runs on the shared plan unchanged.
+class AckFamilyScheme : public LabelPlanScheme {
+ public:
+  std::string_view plan_family() const noexcept override {
+    return "lambda-ack";
+  }
+
+  PlanPtr label(const Graph& g, NodeId source,
+                const SchemeOptions& opt) const override {
+    return make_label_plan(g, source, opt, false);
+  }
+};
+
+// ---------------------------------------------------------------------------
+// λ_ack schemes: B, B_ack, common-round
+// ---------------------------------------------------------------------------
 
 /// Algorithm B (Theorem 2.9): 2-bit labels, known source.
-class BScheme final : public Scheme {
+class BScheme final : public AckFamilyScheme {
  public:
   std::string_view name() const noexcept override { return "b"; }
   std::string_view description() const noexcept override {
@@ -295,44 +379,20 @@ class BScheme final : public Scheme {
            "(Theorem 2.9)";
   }
   bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
-
-  /// λ_ack is λ plus x3 at z, where x1 = x2 = 0 (Fact 3.1), and B reads
-  /// only x1 and x2: B runs on the shared λ_ack plan unchanged.
-  std::string_view plan_family() const noexcept override {
-    return "lambda-ack";
-  }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override;
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override;
-
-  PlanPtr label(const Graph& g, NodeId source,
-                const SchemeOptions& opt) const override {
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
-  }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_broadcast_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    const LabelPlan& p = label_plan(plan, g);
+    return core::make_broadcast_protocols(p.labels, p.anchor, opt.mu);
   }
 
   std::unique_ptr<sim::Population> make_population(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return std::make_unique<core::BroadcastPopulation>(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    const LabelPlan& p = label_plan(plan, g);
+    return std::make_unique<core::BroadcastPopulation>(p.labels, p.anchor,
+                                                       opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
@@ -344,7 +404,7 @@ class BScheme final : public Scheme {
                    const SchemeOptions&, SchemeResult& out) const override {
     if (g.node_count() != 1) return false;
     out.ok = out.all_informed = true;
-    out.ell = static_cast<const LabelingPlan&>(plan).labeling.stages.ell;
+    out.ell = label_plan(plan, g).ell;
     return true;
   }
 
@@ -354,8 +414,7 @@ class BScheme final : public Scheme {
     out.ok = out.all_informed;
     out.completion_round = e.last_first_data_reception();
     out.bound = theorem_bound(g.node_count());
-    out.ell = static_cast<const LabelingPlan&>(plan).labeling.stages.ell;
-    out.max_node_tx = e.max_tx_count();
+    out.ell = label_plan(plan, g).ell;
     out.label_bits = 2;
     if (config.trace == sim::TraceLevel::kFull) {
       out.stay_count = e.trace().count_transmissions(sim::MsgKind::kStay);
@@ -370,58 +429,33 @@ class BScheme final : public Scheme {
                       const CompiledPlan& compiled,
                       const ExecutionConfig& config) const override;
 
+  /// Lemma 2.8 against the stage sets rebuilt from the plan.
   std::string verify(const Graph& g, NodeId, const Plan& plan,
                      const sim::Trace& trace) const override {
-    return core::verify_lemma_2_8(
-        g, static_cast<const LabelingPlan&>(plan).labeling, trace);
+    const LabelPlan& p = label_plan(plan, g);
+    const core::Labeling labeling = rebuild_labeling(g, p);
+    if (labeling.labels != p.labels) {
+      return "plan labels differ from the labeler's output";
+    }
+    return core::verify_lemma_2_8(g, labeling, trace);
   }
 };
-
-struct BCompiledPlan final : CompiledPlan {
-  PlanPtr plan;  ///< keeps the labeling alive
-  std::uint32_t mu = 0;
-  SchemeResult result;  ///< counters-level observables, replay-free
-
-  std::size_t footprint() const noexcept override {
-    return sizeof(*this) + (plan ? plan->footprint() : 0);
-  }
-};
-
-void BScheme::encode_compiled(const CompiledPlan& compiled,
-                              ByteWriter& out) const {
-  const auto& c = static_cast<const BCompiledPlan&>(compiled);
-  out.u8(kTagBReplay);
-  encode_labeling_plan(*c.plan, out);
-  out.u32(c.mu);
-  encode_result(c.result, out);
-}
-
-CompiledPlanPtr BScheme::decode_compiled(ByteReader& in) const {
-  if (in.u8() != kTagBReplay || !in.ok()) return nullptr;
-  auto out = std::make_shared<BCompiledPlan>();
-  out->plan = decode_labeling_plan(in);
-  if (out->plan == nullptr) return nullptr;
-  out->mu = in.u32();
-  if (!decode_result(in, out->result)) return nullptr;
-  return out;
-}
 
 CompiledPlanPtr BScheme::compile(const Graph& g, NodeId, const PlanPtr& plan,
                                  const SchemeOptions& opt,
                                  const ExecutionConfig& config) const {
-  const auto& labeling = static_cast<const LabelingPlan&>(*plan).labeling;
-  auto out = std::make_shared<BCompiledPlan>();
-  out->plan = plan;
-  out->mu = opt.mu;
+  const LabelPlan& p = label_plan(*plan, g);
+  auto out = compiled_result(plan, opt.mu);
   SchemeResult& r = out->result;
   r.bound = theorem_bound(g.node_count());
-  r.ell = labeling.stages.ell;
+  r.ell = p.ell;
   r.label_bits = 2;
   if (g.node_count() == 1) {
     r.ok = r.all_informed = true;
     return out;
   }
-  core::CompiledScheduleRunner runner(g, labeling, opt.mu, config.backend);
+  core::CompiledScheduleRunner runner(g, staged_labeling(g, p), opt.mu,
+                                      config.backend);
   const auto replay = runner.run();
   r.ok = r.all_informed = replay.all_informed;
   r.rounds = replay.rounds;
@@ -445,19 +479,18 @@ CompiledPlanPtr BScheme::compile(const Graph& g, NodeId, const PlanPtr& plan,
 SchemeResult BScheme::replay(const Graph& g, NodeId,
                              const CompiledPlan& compiled,
                              const ExecutionConfig& config) const {
-  const auto& c = static_cast<const BCompiledPlan&>(compiled);
+  const auto& c = static_cast<const CompiledResult&>(compiled);
   SchemeResult out = c.result;
   if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
     core::CompiledScheduleRunner runner(
-        g, static_cast<const LabelingPlan&>(*c.plan).labeling, c.mu,
-        config.backend);
+        g, staged_labeling(g, label_plan(*c.plan, g)), c.mu, config.backend);
     out.trace = runner.run(sim::TraceLevel::kFull).trace;
   }
   return out;
 }
 
 /// Algorithm B_ack (Theorem 3.9): 3-bit labels, z-initiated ack chain.
-class AckScheme final : public Scheme {
+class AckScheme final : public AckFamilyScheme {
  public:
   std::string_view name() const noexcept override { return "ack"; }
   std::string_view description() const noexcept override {
@@ -465,51 +498,26 @@ class AckScheme final : public Scheme {
            "(Theorem 3.9)";
   }
   bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
-
-  /// One λ_ack construction serves B, B_ack, common-round, and multi.
-  std::string_view plan_family() const noexcept override {
-    return "lambda-ack";
-  }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override;
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override;
-
-  PlanPtr label(const Graph& g, NodeId source,
-                const SchemeOptions& opt) const override {
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
-  }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_ack_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu,
-        opt.resilient);
+    const LabelPlan& p = label_plan(plan, g);
+    return core::make_ack_protocols(p.labels, p.anchor, opt.mu, opt.resilient);
   }
 
   /// Resilient retries stay per-node (AckBroadcastProtocol).
   std::unique_ptr<sim::Population> make_population(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
     if (opt.resilient) return nullptr;
-    return std::make_unique<core::AckPopulation>(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    const LabelPlan& p = label_plan(plan, g);
+    return std::make_unique<core::AckPopulation>(p.labels, p.anchor, opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
-    return core::default_round_budget(g.node_count(), 6);
+    return core::default_round_budget(g.node_count(), kBudgetFactor);
   }
 
   bool done(const sim::Engine& e, NodeId source,
@@ -520,23 +528,23 @@ class AckScheme final : public Scheme {
   bool run_trivial(const Graph& g, NodeId, const Plan& plan,
                    const SchemeOptions&, SchemeResult& out) const override {
     if (g.node_count() != 1) return false;
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const LabelPlan& p = label_plan(plan, g);
     out.ok = out.all_informed = true;
-    out.ell = labeling.stages.ell;
-    out.special = labeling.z;
+    out.ell = p.ell;
+    out.special = p.z;
     return true;
   }
 
   void collect(const sim::Engine& e, const Graph& g, NodeId source,
                const Plan& plan, const SchemeOptions&,
                const ExecutionConfig&, SchemeResult& out) const override {
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const LabelPlan& p = label_plan(plan, g);
     out.completion_round = e.last_first_data_reception();
     out.ack_round = ack_round(e, source);
     out.ok = out.all_informed && out.ack_round != 0;
     out.bound = theorem_bound(g.node_count());
-    out.ell = labeling.stages.ell;
-    out.special = labeling.z;
+    out.ell = p.ell;
+    out.special = p.z;
     out.max_stamp = e.max_stamp_seen();
     out.label_bits = 3;
   }
@@ -549,54 +557,14 @@ class AckScheme final : public Scheme {
                       const ExecutionConfig& config) const override;
 
  private:
+  static constexpr std::uint64_t kBudgetFactor = 6;
+
   /// The source's first ack round, from either kind of engine.
   static std::uint64_t ack_round(const sim::Engine& e, NodeId source) {
     if (const auto* p = flat<core::AckPopulation>(e)) return p->ack_round();
     return protocol_at<core::AckBroadcastProtocol>(e, source).ack_round();
   }
 };
-
-struct ExecCompiledPlan final : CompiledPlan {
-  PlanPtr plan;
-  core::CompiledExecution exec;
-  SchemeResult result;
-
-  std::size_t footprint() const noexcept override {
-    return sizeof(*this) + (plan ? plan->footprint() : 0) +
-           execution_bytes(exec);
-  }
-};
-
-/// Shared ExecCompiledPlan codec: the nested plan is encoded through the
-/// owning scheme's own plan codec (its tag byte self-describes), so ack and
-/// arb compile to the same container with different plan payloads.
-void encode_exec_compiled(const Scheme& scheme, const CompiledPlan& compiled,
-                          ByteWriter& out) {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
-  out.u8(kTagExec);
-  scheme.encode_plan(*c.plan, out);
-  encode_execution(c.exec, out);
-  encode_result(c.result, out);
-}
-
-CompiledPlanPtr decode_exec_compiled(const Scheme& scheme, ByteReader& in) {
-  if (in.u8() != kTagExec || !in.ok()) return nullptr;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = scheme.decode_plan(in);
-  if (out->plan == nullptr) return nullptr;
-  if (!decode_execution(in, out->exec)) return nullptr;
-  if (!decode_result(in, out->result)) return nullptr;
-  return out;
-}
-
-void AckScheme::encode_compiled(const CompiledPlan& compiled,
-                                ByteWriter& out) const {
-  encode_exec_compiled(*this, compiled, out);
-}
-
-CompiledPlanPtr AckScheme::decode_compiled(ByteReader& in) const {
-  return decode_exec_compiled(*this, in);
-}
 
 CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
                                    const PlanPtr& plan,
@@ -605,92 +573,73 @@ CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
   // Resilient retries depend on runtime receptions, which a label-determined
   // replay cannot predict; decline and let run_with_plan use the engine.
   if (opt.resilient) return nullptr;
-  const auto& labeling = static_cast<const LabelingPlan&>(*plan).labeling;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = plan;
+  const LabelPlan& p = label_plan(*plan, g);
+  auto out = compiled_result(plan, opt.mu);
   SchemeResult& r = out->result;
   r.bound = theorem_bound(g.node_count());
-  r.ell = labeling.stages.ell;
-  r.special = labeling.z;
+  r.ell = p.ell;
+  r.special = p.z;
   r.label_bits = 3;
   if (g.node_count() == 1) {
     r.ok = r.all_informed = true;
     return out;
   }
-  const auto max_rounds =
-      config.max_rounds ? config.max_rounds
-                        : core::default_round_budget(g.node_count(), 6);
-  core::CompiledAckRunner runner(g, labeling, opt.mu, config.backend,
-                                 max_rounds);
-  const auto& p = runner.prediction();
-  r.all_informed = p.all_informed;
-  r.rounds = p.rounds;
-  r.completion_round = p.completion_round;
-  r.ack_round = p.ack_round;
-  r.ok = p.all_informed && p.ack_round != 0;
-  r.max_stamp = p.max_stamp;
-  r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.take_execution();
+  const core::CompiledAckRunner runner(g, p.labels, p.anchor, opt.mu,
+                                       config.backend,
+                                       round_cap(g, config, kBudgetFactor));
+  const auto& prediction = runner.prediction();
+  r.all_informed = prediction.all_informed;
+  r.rounds = prediction.rounds;
+  r.completion_round = prediction.completion_round;
+  r.ack_round = prediction.ack_round;
+  r.ok = prediction.all_informed && prediction.ack_round != 0;
+  r.max_stamp = prediction.max_stamp;
+  count_transmissions(runner.execution(), g.node_count(), r);
   return out;
 }
 
 SchemeResult AckScheme::replay(const Graph& g, NodeId,
                                const CompiledPlan& compiled,
                                const ExecutionConfig& config) const {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
+  const auto& c = static_cast<const CompiledResult&>(compiled);
   SchemeResult out = c.result;
   if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    auto backend = sim::make_engine_backend(g, config.backend);
-    sim::RoundResolution scratch;
-    out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
-                                       scratch, sim::TraceLevel::kFull)
-                    .trace;
+    const LabelPlan& p = label_plan(*c.plan, g);
+    core::CompiledAckRunner runner(g, p.labels, p.anchor, c.mu, config.backend,
+                                   round_cap(g, config, kBudgetFactor));
+    out.trace = runner.run(sim::TraceLevel::kFull).trace;
   }
   return out;
 }
 
 /// §3 closing construction: all nodes agree on the common round 2m.
-class CommonRoundScheme final : public Scheme {
+class CommonRoundScheme final : public AckFamilyScheme {
  public:
   std::string_view name() const noexcept override { return "common-round"; }
   std::string_view description() const noexcept override {
     return "Common-completion-round construction on top of B_ack (paper §3)";
-  }
-  bool can_store_plans() const noexcept override { return true; }
-
-  std::string_view plan_family() const noexcept override {
-    return "lambda-ack";
-  }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
   }
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
     RC_EXPECTS_MSG(g.node_count() >= 2,
                    "common-round needs at least two nodes");
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
+    return AckFamilyScheme::label(g, source, opt);
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_common_round_protocols(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    const LabelPlan& p = label_plan(plan, g);
+    return core::make_common_round_protocols(p.labels, p.anchor, opt.mu);
   }
 
   std::unique_ptr<sim::Population> make_population(
-      const Graph&, NodeId, const Plan& plan,
+      const Graph& g, NodeId, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return std::make_unique<core::CommonRoundPopulation>(
-        static_cast<const LabelingPlan&>(plan).labeling, opt.mu);
+    const LabelPlan& p = label_plan(plan, g);
+    return std::make_unique<core::CommonRoundPopulation>(p.labels, p.anchor,
+                                                         opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
@@ -753,19 +702,7 @@ class CommonRoundScheme final : public Scheme {
 // B_arb: source unknown at labeling time
 // ---------------------------------------------------------------------------
 
-struct ArbPlan final : Plan {
-  core::ArbLabeling labeling;
-
-  std::size_t footprint() const noexcept override {
-    return sizeof(*this) + labeling.labels.size() * sizeof(core::Label) +
-           node_sets_bytes(labeling.stages.dom) +
-           node_sets_bytes(labeling.stages.fresh) +
-           node_sets_bytes(labeling.stages.frontier) +
-           labeling.stages.stage_of.size() * sizeof(std::uint32_t);
-  }
-};
-
-class ArbScheme final : public Scheme {
+class ArbScheme final : public LabelPlanScheme {
  public:
   std::string_view name() const noexcept override { return "arb"; }
   std::string_view description() const noexcept override {
@@ -773,36 +710,6 @@ class ArbScheme final : public Scheme {
            "(paper §4)";
   }
   bool can_compile() const noexcept override { return true; }
-  bool can_store_plans() const noexcept override { return true; }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    const auto& p = static_cast<const ArbPlan&>(plan);
-    out.u8(kTagArb);
-    encode_labels(p.labeling.labels, out);
-    out.u32(p.labeling.coordinator);
-    out.u32(p.labeling.z);
-    encode_stage_sets(p.labeling.stages, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    if (in.u8() != kTagArb || !in.ok()) return nullptr;
-    auto plan = std::make_shared<ArbPlan>();
-    if (!decode_labels(in, plan->labeling.labels)) return nullptr;
-    plan->labeling.coordinator = in.u32();
-    plan->labeling.z = in.u32();
-    if (!decode_stage_sets(in, plan->labeling.stages)) return nullptr;
-    if (plan->labeling.labels.size() !=
-        plan->labeling.stages.stage_of.size()) {
-      return nullptr;
-    }
-    return plan;
-  }
-  void encode_compiled(const CompiledPlan& compiled,
-                       ByteWriter& out) const override {
-    encode_exec_compiled(*this, compiled, out);
-  }
-  CompiledPlanPtr decode_compiled(ByteReader& in) const override {
-    return decode_exec_compiled(*this, in);
-  }
 
   /// λ_arb depends on the coordinator, not the (unknown) source — the
   /// paper's whole point — so every source on a graph shares one plan.
@@ -819,29 +726,25 @@ class ArbScheme final : public Scheme {
   PlanPtr label(const Graph& g, NodeId,
                 const SchemeOptions& opt) const override {
     RC_EXPECTS_MSG(g.node_count() >= 2, "B_arb needs at least two nodes");
-    auto plan = std::make_shared<ArbPlan>();
-    plan->labeling =
-        core::label_arbitrary(g, opt.coordinator, {opt.policy, opt.seed});
-    return plan;
+    return make_label_plan(g, opt.coordinator, opt, true);
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
-      const Graph&, NodeId source, const Plan& plan,
+      const Graph& g, NodeId source, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return core::make_arb_protocols(
-        static_cast<const ArbPlan&>(plan).labeling, source, opt.mu);
+    return core::make_arb_protocols(label_plan(plan, g).labels, source, opt.mu);
   }
 
   std::unique_ptr<sim::Population> make_population(
-      const Graph&, NodeId source, const Plan& plan,
+      const Graph& g, NodeId source, const Plan& plan,
       const SchemeOptions& opt) const override {
-    return std::make_unique<core::ArbPopulation>(
-        static_cast<const ArbPlan&>(plan).labeling, source, opt.mu);
+    return std::make_unique<core::ArbPopulation>(label_plan(plan, g).labels,
+                                                 source, opt.mu);
   }
 
   std::uint64_t round_budget(const Graph& g, const Plan&,
                              const SchemeOptions&) const override {
-    return core::default_round_budget(g.node_count(), 16);
+    return core::default_round_budget(g.node_count(), kBudgetFactor);
   }
 
   bool done(const sim::Engine& e, NodeId,
@@ -860,7 +763,7 @@ class ArbScheme final : public Scheme {
   void collect(const sim::Engine& e, const Graph& g, NodeId,
                const Plan& plan, const SchemeOptions& opt,
                const ExecutionConfig&, SchemeResult& out) const override {
-    out.special = static_cast<const ArbPlan&>(plan).labeling.coordinator;
+    out.special = label_plan(plan, g).anchor;
     out.completion_round = e.last_first_data_reception();
     out.max_stamp = e.max_stamp_seen();
     out.label_bits = 3;
@@ -878,7 +781,12 @@ class ArbScheme final : public Scheme {
                       const CompiledPlan& compiled,
                       const ExecutionConfig& config) const override;
 
+ protected:
+  std::uint8_t tag() const noexcept override { return kTagArb; }
+
  private:
+  static constexpr std::uint64_t kBudgetFactor = 16;
+
   /// The per-node reference protocols, observed like the population.
   struct Protocols {
     const sim::Engine& e;
@@ -919,39 +827,34 @@ CompiledPlanPtr ArbScheme::compile(const Graph& g, NodeId source,
                                    const PlanPtr& plan,
                                    const SchemeOptions& opt,
                                    const ExecutionConfig& config) const {
-  const auto& labeling = static_cast<const ArbPlan&>(*plan).labeling;
-  auto out = std::make_shared<ExecCompiledPlan>();
-  out->plan = plan;
+  const LabelPlan& p = label_plan(*plan, g);
+  auto out = compiled_result(plan, opt.mu);
   SchemeResult& r = out->result;
-  const auto max_rounds =
-      config.max_rounds ? config.max_rounds
-                        : core::default_round_budget(g.node_count(), 16);
-  core::CompiledArbRunner runner(g, labeling, source, opt.mu, config.backend,
-                                 max_rounds);
-  const auto& p = runner.prediction();
-  r.ok = p.ok;
-  r.all_informed = p.ok;
-  r.rounds = p.total_rounds;
-  r.done_round = p.done_round;
-  r.T = p.T;
-  r.special = labeling.coordinator;
+  const core::CompiledArbRunner runner(g, p.labels, p.anchor, source, opt.mu,
+                                       config.backend,
+                                       round_cap(g, config, kBudgetFactor));
+  const auto& prediction = runner.prediction();
+  r.ok = r.all_informed = prediction.ok;
+  r.rounds = prediction.total_rounds;
+  r.done_round = prediction.done_round;
+  r.T = prediction.T;
+  r.special = p.anchor;
   r.label_bits = 3;
-  r.tx_total = runner.execution().transmitters.size();
-  out->exec = runner.take_execution();
+  count_transmissions(runner.execution(), g.node_count(), r);
   return out;
 }
 
-SchemeResult ArbScheme::replay(const Graph& g, NodeId,
+SchemeResult ArbScheme::replay(const Graph& g, NodeId source,
                                const CompiledPlan& compiled,
                                const ExecutionConfig& config) const {
-  const auto& c = static_cast<const ExecCompiledPlan&>(compiled);
+  const auto& c = static_cast<const CompiledResult&>(compiled);
   SchemeResult out = c.result;
   if (config.trace == sim::TraceLevel::kFull) {
-    auto backend = sim::make_engine_backend(g, config.backend);
-    sim::RoundResolution scratch;
-    out.trace = core::replay_execution(c.exec, g.node_count(), *backend,
-                                       scratch, sim::TraceLevel::kFull)
-                    .trace;
+    const LabelPlan& p = label_plan(*c.plan, g);
+    core::CompiledArbRunner runner(g, p.labels, p.anchor, source, c.mu,
+                                   config.backend,
+                                   round_cap(g, config, kBudgetFactor));
+    out.trace = runner.run(sim::TraceLevel::kFull).trace;
   }
   return out;
 }
@@ -960,46 +863,30 @@ SchemeResult ArbScheme::replay(const Graph& g, NodeId,
 // Multi-message acknowledged sessions (§1.2)
 // ---------------------------------------------------------------------------
 
-class MultiScheme final : public Scheme {
+class MultiScheme final : public AckFamilyScheme {
  public:
   std::string_view name() const noexcept override { return "multi"; }
   std::string_view description() const noexcept override {
     return "Consecutive acknowledged broadcasts over one λ_ack labeling "
            "(paper §1.2)";
   }
-  bool can_store_plans() const noexcept override { return true; }
-
-  std::string_view plan_family() const noexcept override {
-    return "lambda-ack";
-  }
-
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_labeling_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_labeling_plan(in);
-  }
 
   PlanPtr label(const Graph& g, NodeId source,
                 const SchemeOptions& opt) const override {
     RC_EXPECTS(g.node_count() >= 2);
-    auto plan = std::make_shared<LabelingPlan>();
-    plan->labeling =
-        core::label_acknowledged(g, source, {opt.policy, opt.seed});
-    return plan;
+    return AckFamilyScheme::label(g, source, opt);
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan& plan,
       const SchemeOptions& opt) const override {
-    const auto& labeling = static_cast<const LabelingPlan&>(plan).labeling;
+    const LabelPlan& p = label_plan(plan, g);
     const auto payloads = multi_schedule(opt);
     std::vector<std::unique_ptr<sim::Protocol>> out;
     out.reserve(g.node_count());
     for (NodeId v = 0; v < g.node_count(); ++v) {
       out.push_back(std::make_unique<core::MultiMessageProtocol>(
-          labeling.labels[v],
-          v == source ? payloads : std::vector<std::uint32_t>{}));
+          p.labels[v], v == source ? payloads : std::vector<std::uint32_t>{}));
     }
     return out;
   }

@@ -245,6 +245,10 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     std::string compiled_key;  ///< empty = engine path
     PlanPtr plan;
     CompiledPlanPtr compiled;
+    /// The earlier spec whose load or computation serves this one's plan /
+    /// compiled entry (set only when this spec shares a missing key).
+    std::size_t plan_owner = 0;
+    std::size_t compiled_owner = 0;
   };
   auto& registry = SchemeRegistry::instance();
   std::vector<Resolved> resolved(specs.size());
@@ -283,19 +287,26 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
   }
 
   // Phase 1: load or compute every missing labeling exactly once.  Misses
-  // are deduplicated by key (first spec wins the computation slot); the
-  // parallel loop only touches distinct keys, and the runner mutex keeps
-  // concurrent batches out of this phase, so "exactly once per cache key"
-  // holds across batches as well as within one.  With a store attached,
-  // a key found on disk is decoded instead of computed (a store hit, not a
-  // miss), and computed plans are written through.
+  // are deduplicated by key before the store is consulted: the first spec
+  // with a missing key owns it and probes the store once, and a key found
+  // on disk is decoded instead of computed (a store hit, not a miss).  Later
+  // specs with the key count as hits, served by the owner.  The parallel
+  // loop only touches distinct keys, and the runner mutex keeps concurrent
+  // batches out of this phase, so "exactly once per cache key" holds across
+  // batches as well as within one.  Computed plans are written through.
   std::vector<std::size_t> plan_work;  // spec index owning a distinct key
   {
-    std::unordered_map<std::string, std::size_t> first_owner;
+    std::unordered_map<std::string, std::size_t> owners;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       Resolved& r = resolved[i];
       r.plan = cache_.find_plan(r.plan_key);
       if (r.plan != nullptr) {
+        cache_.count_plan_lookup(true);
+        continue;
+      }
+      const auto [it, inserted] = owners.emplace(r.plan_key, i);
+      if (!inserted) {
+        r.plan_owner = it->second;
         cache_.count_plan_lookup(true);
         continue;
       }
@@ -312,13 +323,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
           continue;
         }
       }
-      const auto [it, inserted] = first_owner.emplace(r.plan_key, i);
-      if (inserted) {
-        cache_.count_plan_lookup(false);
-        plan_work.push_back(i);
-      } else {
-        cache_.count_plan_lookup(true);  // served by this batch's computation
-      }
+      cache_.count_plan_lookup(false);
+      plan_work.push_back(i);
     }
   }
   par::parallel_map(pool_, plan_work.size(), [&](std::size_t w) {
@@ -336,20 +342,27 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     return 0;
   });
   for (Resolved& r : resolved) {
-    if (r.plan == nullptr) r.plan = cache_.find_plan(r.plan_key);
+    if (r.plan == nullptr) r.plan = resolved[r.plan_owner].plan;
   }
 
-  // Phase 2: load or lower every missing compiled execution exactly once.
-  // Compiled entries are keyed per scheme (their layouts differ), so the
-  // store records them under the scheme name rather than the plan family.
+  // Phase 2: load or compile every missing compiled entry exactly once,
+  // deduplicated like phase 1.  Compiled entries are keyed per scheme
+  // (their layouts differ), so the store records them under the scheme
+  // name rather than the plan family.
   std::vector<std::size_t> compile_work;
   {
-    std::unordered_map<std::string, std::size_t> first_owner;
+    std::unordered_map<std::string, std::size_t> owners;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       Resolved& r = resolved[i];
       if (r.compiled_key.empty()) continue;
       r.compiled = cache_.find_compiled(r.compiled_key);
       if (r.compiled != nullptr) {
+        cache_.count_compiled_lookup(true);
+        continue;
+      }
+      const auto [it, inserted] = owners.emplace(r.compiled_key, i);
+      if (!inserted) {
+        r.compiled_owner = it->second;
         cache_.count_compiled_lookup(true);
         continue;
       }
@@ -366,13 +379,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
           continue;
         }
       }
-      const auto [it, inserted] = first_owner.emplace(r.compiled_key, i);
-      if (inserted) {
-        cache_.count_compiled_lookup(false);
-        compile_work.push_back(i);
-      } else {
-        cache_.count_compiled_lookup(true);
-      }
+      cache_.count_compiled_lookup(false);
+      compile_work.push_back(i);
     }
   }
   par::parallel_map(pool_, compile_work.size(), [&](std::size_t w) {
@@ -392,7 +400,7 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
   });
   for (Resolved& r : resolved) {
     if (!r.compiled_key.empty() && r.compiled == nullptr) {
-      r.compiled = cache_.find_compiled(r.compiled_key);
+      r.compiled = resolved[r.compiled_owner].compiled;
     }
   }
 

@@ -277,7 +277,14 @@ bool Server::handle(const std::shared_ptr<Conn>& conn, const Json& request) {
     server_json.set("errors", Json(s.errors));
     server_json.set("graphs", Json(std::uint64_t{runner_.graph_count()}));
     out.set("server", std::move(server_json));
-    out.set("cache", cache_stats_json(runner_.cache_stats()));
+    // The cache's resident size, beside the traffic counters the done
+    // frames carry: how much memory the daemon's plans hold.
+    Json cache_json = cache_stats_json(runner_.cache_stats());
+    const runtime::PlanCache& cache = runner_.cache();
+    cache_json.set("bytes", Json(std::uint64_t{cache.bytes()}));
+    cache_json.set("plans", Json(std::uint64_t{cache.plan_count()}));
+    cache_json.set("compiled", Json(std::uint64_t{cache.compiled_count()}));
+    out.set("cache", std::move(cache_json));
     if (const runtime::PlanStore* store = runner_.store()) {
       const auto st = store->stats();
       Json store_json(Json::Object{});

@@ -26,7 +26,9 @@
 ///   -> {"v":2,"type":"ping"}            <- {"v":2,"type":"pong"}
 ///   -> {"v":2,"type":"stats"}           <- {"v":2,"type":"stats",
 ///      "server":{connections, batches, specs_run, errors, graphs},
-///      "cache":{...}, "store":{...}}   ("store" only with a store attached)
+///      "cache":{<cache stats>, bytes, plans, compiled}, "store":{...}}
+///      ("store" only with a store attached; `bytes` is the plan cache's
+///      resident footprint)
 ///   -> {"v":2,"type":"compact","max_bytes":N}
 ///                                       <- {"v":2,"type":"compacted",
 ///      "records_evicted":K,"records":R,"bytes":B}   (plan-store GC)

@@ -162,8 +162,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 19),
                        ::testing::ValuesIn(kAllDomPolicies)),
     [](const ::testing::TestParamInfo<SweepParam>& pinfo) {
-      return "w" + std::to_string(std::get<0>(pinfo.param)) + "_" +
-             std::to_string(static_cast<int>(std::get<1>(pinfo.param)));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_";
+      name += std::to_string(static_cast<int>(std::get<1>(pinfo.param)));
+      return name;
     });
 
 // Random (graph, source) fuzz: every vertex as source on random topologies.

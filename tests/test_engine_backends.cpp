@@ -573,7 +573,7 @@ TEST(CompiledAck, ReplayMatchesEngineOnRandomGraphs) {
         [&src](const sim::Engine&) { return src.ack_round() != 0; },
         max_rounds);
 
-    core::CompiledAckRunner compiled(g, labeling, mu);
+    core::CompiledAckRunner compiled(g, labeling.labels, source, mu);
     const auto replay = compiled.run(sim::TraceLevel::kFull);
     const std::string what =
         "graph " + std::to_string(i) + " " + g.summary() + " (compiled ack)";
@@ -639,7 +639,8 @@ TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
         },
         max_rounds);
 
-    core::CompiledArbRunner compiled(g, labeling, source, mu);
+    core::CompiledArbRunner compiled(g, labeling.labels, coordinator, source,
+                                   mu);
     const auto replay = compiled.run(sim::TraceLevel::kFull);
     const std::string what = "graph " + std::to_string(i) + " " +
                              g.summary() + " src=" + std::to_string(source) +
@@ -653,7 +654,9 @@ TEST(CompiledArb, ReplayMatchesEngineOnRandomGraphs) {
     for (NodeId v = 0; v < n; ++v) {
       const auto& p = dynamic_cast<const core::ArbProtocol&>(
           engine.protocol(v));
-      if (p.is_coordinator()) EXPECT_EQ(prediction.T, p.T()) << what;
+      if (p.is_coordinator()) {
+        EXPECT_EQ(prediction.T, p.T()) << what;
+      }
       if (prediction.ok) {
         EXPECT_EQ(prediction.done_round, p.done_round())
             << what << " node " << v;
@@ -686,8 +689,9 @@ TEST(CompiledAck, ReplayBackendIndependence) {
   Rng rng(31);
   const Graph g = graph::gnp_connected(70, 0.3, rng);
   const auto labeling = core::label_acknowledged(g, 0);
-  core::CompiledAckRunner scalar(g, labeling, 7, sim::BackendKind::kScalar);
-  core::CompiledAckRunner bit(g, labeling, 7, sim::BackendKind::kBit);
+  core::CompiledAckRunner scalar(g, labeling.labels, 0, 7,
+                                 sim::BackendKind::kScalar);
+  core::CompiledAckRunner bit(g, labeling.labels, 0, 7, sim::BackendKind::kBit);
   ASSERT_EQ(bit.backend_kind(), sim::BackendKind::kBit);
   const auto a = scalar.run(sim::TraceLevel::kFull);
   const auto b = bit.run(sim::TraceLevel::kFull);

@@ -49,12 +49,23 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return ::operator new(size, std::nothrow);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+// The deletes stay out of line: once GCC 12 inlines a std::free into a
+// caller that paired it with the replaced new, -Wmismatched-new-delete
+// fires at -O3.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -104,6 +115,7 @@ SchemeResult run_engine(const Scheme& scheme, const Graph& g, NodeId source,
   SchemeResult out;
   out.rounds = engine.round();
   out.tx_total = engine.transmissions_total();
+  out.max_node_tx = engine.max_tx_count();
   out.polls = engine.polls_total();
   out.all_informed = engine.all_informed();
   scheme.collect(engine, g, source, *plan, opt, config, out);
@@ -477,32 +489,33 @@ std::unique_ptr<sim::Population> make_run(
     NodeId source) {
   constexpr std::uint32_t kMu = 42;
   const std::string scheme = name;
+  const bool flat = impl == Impl::kPopulation;
   if (scheme == "arb") {
-    core::ArbLabeling lab;
-    lab.labels = labels;
-    if (impl == Impl::kPopulation) {
-      return std::make_unique<core::ArbPopulation>(lab, source, kMu);
+    if (flat) {
+      return std::make_unique<core::ArbPopulation>(labels, source, kMu);
     }
     return std::make_unique<sim::ProtocolPopulation>(
-        core::make_arb_protocols(lab, source, kMu));
+        core::make_arb_protocols(labels, source, kMu));
   }
-  core::Labeling lab;
-  lab.labels = labels;
-  lab.source = source;
-  const bool flat = impl == Impl::kPopulation;
   if (scheme == "b") {
-    if (flat) return std::make_unique<core::BroadcastPopulation>(lab, kMu);
+    if (flat) {
+      return std::make_unique<core::BroadcastPopulation>(labels, source, kMu);
+    }
     return std::make_unique<sim::ProtocolPopulation>(
-        core::make_broadcast_protocols(lab, kMu));
+        core::make_broadcast_protocols(labels, source, kMu));
   }
   if (scheme == "ack") {
-    if (flat) return std::make_unique<core::AckPopulation>(lab, kMu);
+    if (flat) {
+      return std::make_unique<core::AckPopulation>(labels, source, kMu);
+    }
     return std::make_unique<sim::ProtocolPopulation>(
-        core::make_ack_protocols(lab, kMu));
+        core::make_ack_protocols(labels, source, kMu));
   }
-  if (flat) return std::make_unique<core::CommonRoundPopulation>(lab, kMu);
+  if (flat) {
+    return std::make_unique<core::CommonRoundPopulation>(labels, source, kMu);
+  }
   return std::make_unique<sim::ProtocolPopulation>(
-      core::make_common_round_protocols(lab, kMu));
+      core::make_common_round_protocols(labels, source, kMu));
 }
 
 std::vector<core::Label> scheme_labels(const char* name, const Graph& g,

@@ -66,8 +66,21 @@ void expect_results_equal(const SchemeResult& a, const SchemeResult& b,
   EXPECT_EQ(a.done_round, b.done_round) << context;
   EXPECT_EQ(a.T, b.T) << context;
   EXPECT_EQ(a.tx_total, b.tx_total) << context;
+  EXPECT_EQ(a.max_node_tx, b.max_node_tx) << context;
   EXPECT_EQ(a.max_stamp, b.max_stamp) << context;
   EXPECT_EQ(a.ack_rounds, b.ack_rounds) << context;
+}
+
+/// The largest number of transmissions any one node made in `trace`.
+std::uint64_t max_node_tx(const sim::Trace& trace, graph::NodeId n) {
+  std::vector<std::uint64_t> per_node(n, 0);
+  std::uint64_t best = 0;
+  for (const auto& round : trace.rounds()) {
+    for (const auto& tx : round.transmissions) {
+      best = std::max(best, ++per_node[tx.first]);
+    }
+  }
+  return best;
 }
 
 std::vector<Graph> differential_graphs() {
@@ -125,6 +138,9 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
         const auto plan = scheme->label(g, 0, opt);
         const auto oracle =
             runtime::run_with_plan(*scheme, g, 0, plan, opt, oracle_cfg);
+        // run_with_plan fills the duty cycle for every engine-path scheme.
+        EXPECT_EQ(oracle.max_node_tx, max_node_tx(oracle.trace, g.node_count()))
+            << scheme->name() << " graph#" << gi;
         for (const Variant& v : variants) {
           ExecutionConfig cfg = oracle_cfg;
           cfg.backend = v.backend;
@@ -142,7 +158,9 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
   }
 }
 
-// The compiled fast paths must replay the exact engine execution.
+// The compiled fast paths must replay the exact engine execution, and both
+// paths report the same worst per-node duty cycle: the engine's maximum
+// per-node transmission count.
 TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
   const auto graphs = differential_graphs();
   for (const char* name : {"b", "ack", "arb"}) {
@@ -172,6 +190,10 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
       EXPECT_EQ(engine.ack_round, compiled.ack_round) << context;
       EXPECT_EQ(engine.done_round, compiled.done_round) << context;
       EXPECT_EQ(engine.tx_total, compiled.tx_total) << context;
+      EXPECT_EQ(engine.max_node_tx, compiled.max_node_tx) << context;
+      EXPECT_EQ(engine.max_node_tx, max_node_tx(engine.trace, g.node_count()))
+          << context;
+      EXPECT_GT(engine.max_node_tx, 0u) << context;
       expect_trace_equal(engine.trace, compiled.trace, context);
     }
   }

@@ -89,8 +89,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(17, 33, 65, 129)),
     [](const ::testing::TestParamInfo<Param>& pinfo) {
-      return "w" + std::to_string(std::get<0>(pinfo.param)) + "_n" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "w";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 // One-bit search is costlier; sweep a reduced ladder on tractable families.

@@ -597,7 +597,10 @@ TEST(Serve, StatsFrameHasNamespacedSections) {
   server.start();
   Client client;
   ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
-  ASSERT_TRUE(client.run_batch(demo_specs()).ok);
+  const auto outcome = client.run_batch(demo_specs());
+  ASSERT_TRUE(outcome.ok);
+  // Done frames carry the traffic counters only.
+  EXPECT_TRUE(outcome.done.get("stats").get("bytes").is_null());
 
   Json request(Json::Object{});
   request.set("v", Json(runtime::wire::kWireVersion));
@@ -608,7 +611,14 @@ TEST(Serve, StatsFrameHasNamespacedSections) {
   EXPECT_EQ(reply->get("server").get("graphs").as_uint(), 1u);
   EXPECT_EQ(reply->get("server").get("batches").as_uint(), 1u);
   EXPECT_TRUE(reply->get("store").is_null());  // no store attached
-  EXPECT_GT(reply->get("cache").get("plan_misses").as_uint(), 0u);
+  const Json& cache = reply->get("cache");
+  EXPECT_GT(cache.get("plan_misses").as_uint(), 0u);
+  // What the plans hold: λ_ack at sources 1 and 0, λ_arb, round-robin's
+  // empty plan, and the compiled b entry.
+  EXPECT_EQ(cache.get("plans").as_uint(), 4u);
+  EXPECT_EQ(cache.get("compiled").as_uint(), 1u);
+  EXPECT_GT(cache.get("bytes").as_uint(), 0u);
+  EXPECT_EQ(cache.get("bytes").as_uint(), runner.cache().bytes());
 }
 
 TEST(Serve, WarmRestartThroughTheDaemonSkipsAllConstruction) {
