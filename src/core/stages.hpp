@@ -84,10 +84,22 @@ struct StageSets {
 /// Builds the stage sets.  Requires a connected graph (Lemma 2.4's progress
 /// guarantee needs connectivity; violated inputs trigger a contract failure).
 /// Serial: each stage's dominating-set reduction depends on the previous
-/// stage.
+/// stage.  On a graph that `graph::is_bit_dense` accepts, every set is a
+/// word bitmap over the graph's resident adjacency rows and each dominator
+/// count is one `sim::simd` `and_popcount` of a row, so a count costs
+/// ⌈n/64⌉ words instead of deg(y) list entries; elsewhere it walks
+/// adjacency lists.  Both paths emit identical sets for every policy.
 StageSets build_stage_sets(const Graph& g, NodeId source,
                            DomPolicy policy = DomPolicy::kAscendingId,
                            std::uint64_t seed = 0);
+
+namespace detail {
+/// `build_stage_sets` on the adjacency-list walk whatever the density: the
+/// reference the bitmap path is differenced against in tests.
+StageSets build_stage_sets_list(const Graph& g, NodeId source,
+                                DomPolicy policy = DomPolicy::kAscendingId,
+                                std::uint64_t seed = 0);
+}  // namespace detail
 
 /// Structural validation of already-built stage sets against the definition:
 /// Facts 2.1/2.2, Lemma 2.3 disjointness, Corollary 2.7 partition, domination

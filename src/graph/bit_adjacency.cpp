@@ -14,4 +14,16 @@ BitAdjacency::BitAdjacency(const Graph& g)
   }
 }
 
+bool is_bit_dense(const Graph& g) {
+  const std::uint32_t n = g.node_count();
+  if (n < 64) return false;
+  const std::size_t words = BitAdjacency::words_for(n);
+  if (static_cast<std::size_t>(n) * words * 8 > kBitAdjacencyMemoryCap) {
+    return false;
+  }
+  // A list walk costs deg(v) visits per vertex, a row pass ~words word ops.
+  const double avg_degree = 2.0 * static_cast<double>(g.edge_count()) / n;
+  return avg_degree >= static_cast<double>(words);
+}
+
 }  // namespace radiocast::graph

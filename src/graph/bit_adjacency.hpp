@@ -4,15 +4,17 @@
 /// A `BitAdjacency` packs each vertex neighbourhood into ceil(n/64) 64-bit
 /// words, so "which listeners have a transmitting neighbour" becomes word-wide
 /// OR/AND over rows instead of a per-edge scalar walk.  The n^2/8-byte cost
-/// only pays off on dense graphs; `sim::choose_backend` owns that decision.
-/// A dense graph builds its bitmap once and keeps it (`Graph::bit_adjacency`),
-/// so every engine on that graph borrows the same rows.
+/// only pays off on dense graphs, and `is_bit_dense` is the one rule that
+/// says which graphs those are.  A dense graph builds its bitmap once and
+/// keeps it (`Graph::bit_adjacency`), so the stage-set construction and
+/// every engine on that graph share the same rows.
 /// The bitmap lives in a `support::HugeWords` buffer: multi-megabyte bitmaps
 /// get 2 MiB transparent-huge-page backing (one TLB entry per 2 MiB of row
 /// walk instead of 512), smaller ones a plain aligned allocation — contents
 /// are identical either way.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -63,5 +65,17 @@ class BitAdjacency {
   std::size_t words_ = 0;
   support::HugeWords bits_;
 };
+
+/// Upper bound on a resident adjacency bitmap.
+inline constexpr std::size_t kBitAdjacencyMemoryCap = 64u << 20;  // 64 MiB
+
+/// The density rule: true iff n >= 64, the bitmap fits under
+/// `kBitAdjacencyMemoryCap` and the average degree reaches the ⌈n/64⌉ words
+/// of one row (the break-even between a list walk and a row pass).  On such
+/// a graph kAuto resolves rounds on the bitmap, `sim::BitEngine` borrows the
+/// resident rows and `core::build_stage_sets` counts on them; elsewhere all
+/// three walk adjacency lists.  A resident bitmap is therefore never more
+/// than twice the CSR adjacency array.
+bool is_bit_dense(const Graph& g);
 
 }  // namespace radiocast::graph

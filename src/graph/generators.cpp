@@ -190,26 +190,40 @@ class UnionFind {
 Graph gnp_connected(std::uint32_t n, double p, Rng& rng) {
   RC_EXPECTS(n >= 1);
   RC_EXPECTS(p >= 0.0 && p <= 1.0);
-  GraphBuilder b(n);
+  // One `rng.bernoulli(p)` coin per pair in lexicographic (u, v) order, so
+  // the hits form one presorted run.  The coin is taken on the draw's top 53
+  // bits, `(x >> 11) * 2^-53 < p`, which is exactly `(x >> 11) < ⌈p · 2^53⌉`
+  // (both sides scale by a power of two).  The generator runs on a local
+  // copy that stays in registers and is handed back at the end.
+  Rng local = rng;
+  const auto cut = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  const double pairs = 0.5 * static_cast<double>(n) * (n - 1);
+  std::vector<std::pair<NodeId, NodeId>> run;
+  run.reserve(static_cast<std::size_t>(p * pairs + 4 * std::sqrt(p * pairs)));
   UnionFind uf(n);
+  std::uint32_t components = n;
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(p)) {
-        b.add_edge(u, v);
-        uf.unite(u, v);
+      if ((local.next() >> 11) < cut) {
+        run.emplace_back(u, v);
+        // Once one component remains no union can move a root.
+        if (components > 1 && uf.unite(u, v)) --components;
       }
     }
   }
+  GraphBuilder b(n);
+  b.add_sorted_run(std::move(run));  // adopted as the edge list, not copied
   // Stitch components: connect a random member of each non-root component to a
   // random already-connected vertex.  Deterministic given the seed.
   std::vector<NodeId> reps;
   for (NodeId v = 0; v < n; ++v)
     if (uf.find(v) == v) reps.push_back(v);
   for (std::size_t i = 1; i < reps.size(); ++i) {
-    const NodeId other = reps[rng.below(i)];
+    const NodeId other = reps[local.below(i)];
     b.add_edge(reps[i], other);
     uf.unite(reps[i], other);
   }
+  rng = local;
   return std::move(b).build();
 }
 

@@ -57,9 +57,8 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::add_sorted_run(
-    std::span<const std::pair<NodeId, NodeId>> run) {
-  if (run.empty()) return *this;
+void GraphBuilder::check_sorted_run(
+    std::span<const std::pair<NodeId, NodeId>> run) const {
   for (std::size_t i = 0; i < run.size(); ++i) {
     const auto [u, v] = run[i];
     RC_EXPECTS_MSG(u != v, "self-loops are not allowed in simple graphs");
@@ -67,8 +66,25 @@ GraphBuilder& GraphBuilder::add_sorted_run(
     RC_EXPECTS_MSG(i == 0 || run[i - 1] < run[i],
                    "sorted run must be strictly increasing");
   }
+}
+
+GraphBuilder& GraphBuilder::add_sorted_run(
+    std::span<const std::pair<NodeId, NodeId>> run) {
+  if (run.empty()) return *this;
+  check_sorted_run(run);
   runs_.emplace_back(edges_.size(), edges_.size() + run.size());
   edges_.insert(edges_.end(), run.begin(), run.end());
+  return *this;
+}
+
+GraphBuilder& GraphBuilder::add_sorted_run(
+    std::vector<std::pair<NodeId, NodeId>>&& run) {
+  if (run.empty() || !edges_.empty()) {
+    return add_sorted_run(std::span<const std::pair<NodeId, NodeId>>(run));
+  }
+  check_sorted_run(run);
+  runs_.emplace_back(0, run.size());
+  edges_ = std::move(run);
   return *this;
 }
 

@@ -97,6 +97,10 @@ class GraphBuilder {
   /// edge list, so chunked streaming generators never pay a global sort.
   GraphBuilder& add_sorted_run(std::span<const std::pair<NodeId, NodeId>> run);
 
+  /// `add_sorted_run` that takes the run over: a builder holding no edges
+  /// yet adopts the vector as its edge list instead of copying it.
+  GraphBuilder& add_sorted_run(std::vector<std::pair<NodeId, NodeId>>&& run);
+
   /// Pre-allocates for `edge_count` edges (dense generators).
   void reserve(std::size_t edge_count) { edges_.reserve(edge_count); }
 
@@ -153,6 +157,9 @@ class GraphBuilder {
   }
 
  private:
+  /// The add_sorted_run contract: u < v < n, strictly increasing.
+  void check_sorted_run(std::span<const std::pair<NodeId, NodeId>> run) const;
+
   std::uint32_t n_;
   std::vector<std::pair<NodeId, NodeId>> edges_;
   /// [begin, end) spans of `edges_` appended via add_sorted_run.

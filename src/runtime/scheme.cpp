@@ -103,6 +103,10 @@ std::vector<const Scheme*> SchemeRegistry::schemes() const {
   return out;
 }
 
+bool takes_compiled_path(const Scheme& scheme, const ExecutionConfig& config) {
+  return config.compiled && scheme.can_compile() && !config.faults.enabled();
+}
+
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
                            NodeId source, const PlanPtr& plan,
                            const SchemeOptions& opt,
@@ -112,10 +116,7 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
   SchemeResult out;
   if (scheme.run_trivial(g, source, *plan, opt, out)) return out;
 
-  // A compiled replay models the fault-free schedule, so an enabled fault
-  // plan forces the live engine (as does a scheme declining to compile
-  // these options — compile() returning null falls through).
-  if (config.compiled && scheme.can_compile() && !config.faults.enabled()) {
+  if (takes_compiled_path(scheme, config)) {
     const auto compiled = scheme.compile(g, source, plan, opt, config);
     if (compiled) return scheme.replay(g, source, *compiled, config);
   }

@@ -266,6 +266,13 @@ SchemeResult run_scheme(std::string_view name, const Graph& g, NodeId source,
                         const SchemeOptions& opt = {},
                         const ExecutionConfig& config = {});
 
+/// The one compiled-or-engine decision: true iff `config.compiled` asks for
+/// a compiled replay, the scheme can compile, and no fault plan is enabled
+/// (a replay models the fault-free schedule).  A scheme may still decline by
+/// returning nullptr from `compile()`; that spec then runs on the engine.
+/// `run_with_plan` and `SweepRunner` both decide through this predicate.
+bool takes_compiled_path(const Scheme& scheme, const ExecutionConfig& config);
+
 /// Executes with an already-computed (possibly cached) plan.
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
                            NodeId source, const PlanPtr& plan,

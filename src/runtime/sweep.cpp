@@ -245,9 +245,11 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     std::string compiled_key;  ///< empty = engine path
     PlanPtr plan;
     CompiledPlanPtr compiled;
-    /// The earlier spec whose load or computation serves this one's plan /
-    /// compiled entry (set only when this spec shares a missing key).
+    /// The earlier spec whose load or computation serves this one's plan
+    /// (set only when this spec shares a missing key).
     std::size_t plan_owner = 0;
+    /// The spec whose load or compile serves this one's compiled entry
+    /// (itself when it owns a missing key; set only on a cache miss).
     std::size_t compiled_owner = 0;
   };
   auto& registry = SchemeRegistry::instance();
@@ -271,7 +273,7 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     plan_key += r.scheme->plan_family();
     plan_key += "|";
     plan_key += r.scheme->plan_key(spec.source, spec.options);
-    if (spec.config.compiled && r.scheme->can_compile()) {
+    if (takes_compiled_path(*r.scheme, spec.config)) {
       std::string compiled_key(plan_key);
       compiled_key += "|";
       compiled_key += spec.scheme;
@@ -361,8 +363,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
         continue;
       }
       const auto [it, inserted] = owners.emplace(r.compiled_key, i);
+      r.compiled_owner = it->second;
       if (!inserted) {
-        r.compiled_owner = it->second;
         cache_.count_compiled_lookup(true);
         continue;
       }
@@ -389,6 +391,9 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     Resolved& r = resolved[i];
     r.compiled = r.scheme->compile(*r.graph, spec.source, r.plan,
                                    spec.options, spec.config);
+    // A declined compile runs the spec (and its key's sharers) on the
+    // engine, as run_with_plan does; nothing is cached for it.
+    if (r.compiled == nullptr) return 0;
     cache_.put_compiled(r.compiled_key, r.compiled);
     if (store_ != nullptr && r.scheme->can_store_plans()) {
       support::ByteWriter writer;

@@ -83,7 +83,7 @@ void ScalarEngine::resolve(std::span<const NodeId> transmitters,
 
 BitEngine::BitEngine(const graph::Graph& g)
     : kernels_(&simd::active_kernels()) {
-  if (choose_backend(g, BackendKind::kAuto) == BackendKind::kBit) {
+  if (graph::is_bit_dense(g)) {
     adj_ = &g.bit_adjacency();
   } else {
     private_adj_ = graph::BitAdjacency(g);
@@ -169,16 +169,7 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
 
 BackendKind choose_backend(const graph::Graph& g, BackendKind requested) {
   if (requested != BackendKind::kAuto) return requested;
-  const auto n = g.node_count();
-  if (n < 64) return BackendKind::kScalar;
-  const std::size_t words = graph::BitAdjacency::words_for(n);
-  const std::size_t bytes = static_cast<std::size_t>(n) * words * 8;
-  if (bytes > kBitBackendMemoryCap) return BackendKind::kScalar;
-  // Scalar costs deg(t) edge visits per transmitter; bit costs ~words word
-  // ops.  Prefer bit when the average degree exceeds the word cost.
-  const double avg_degree = 2.0 * static_cast<double>(g.edge_count()) / n;
-  if (avg_degree < static_cast<double>(words)) return BackendKind::kScalar;
-  return BackendKind::kBit;
+  return graph::is_bit_dense(g) ? BackendKind::kBit : BackendKind::kScalar;
 }
 
 std::unique_ptr<EngineBackend> make_engine_backend(const graph::Graph& g,

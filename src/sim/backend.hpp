@@ -11,7 +11,7 @@
 ///  - `ScalarEngine` walks transmitter adjacency lists in the CSR graph:
 ///    O(sum of deg(t) + touched words) per round and O(n + m) memory —
 ///    optimal for sparse graphs, and kAuto's choice for every graph past
-///    the `kBitBackendMemoryCap` bitmap wall.
+///    the `graph::kBitAdjacencyMemoryCap` bitmap wall.
 ///  - `BitEngine` uses dense `graph::BitAdjacency` rows and the once/twice
 ///    saturating accumulator (`twice |= once & row; once |= row`):
 ///    O(T * n/64) word operations per round regardless of edge count,
@@ -42,7 +42,7 @@ using graph::NodeId;
 
 /// Which round-resolution backend an `Engine` uses.
 enum class BackendKind : std::uint8_t {
-  kAuto,    ///< pick by density/size (see `choose_backend`)
+  kAuto,    ///< pick by density/size (`graph::is_bit_dense`)
   kScalar,  ///< CSR adjacency walk (sparse-friendly seed implementation)
   kBit,     ///< dense bit-parallel stepping over adjacency bitmaps
 };
@@ -124,9 +124,9 @@ class ScalarEngine final : public EngineBackend {
 /// has them, the plain-word loop otherwise — bit-exact either way.
 class BitEngine final : public EngineBackend {
  public:
-  /// Borrows `g`'s resident bitmap when kAuto would pick bit for `g`
-  /// (building it on first use), and builds a private one otherwise, so the
-  /// resident bitmaps stay within twice their graphs' CSR adjacency.
+  /// Borrows `g`'s resident bitmap when `graph::is_bit_dense(g)` (building
+  /// it on first use), and builds a private one otherwise, so the resident
+  /// bitmaps stay within twice their graphs' CSR adjacency.
   explicit BitEngine(const graph::Graph& g);
 
   BackendKind kind() const noexcept override { return BackendKind::kBit; }
@@ -150,15 +150,9 @@ class BitEngine final : public EngineBackend {
   std::vector<std::uint32_t> unique_tx_index_;
 };
 
-/// Upper bound on the adjacency bitmap a kAuto selection may allocate.
-inline constexpr std::size_t kBitBackendMemoryCap = 64u << 20;  // 64 MiB
-
-/// Resolves kAuto against the graph: kBit iff n >= 64, the bitmap fits under
-/// `kBitBackendMemoryCap` and the average degree reaches the n/64 words a
-/// BitEngine touches per transmitter (the break-even density); everything
-/// else, including every graph past the bitmap cap, goes kScalar.  This bit
-/// region is also where a graph keeps its bitmap resident.  Explicit
-/// requests are honored unchanged.
+/// Resolves kAuto against the graph: kBit iff `graph::is_bit_dense(g)` (the
+/// density rule the labeler shares), kScalar otherwise, including every
+/// graph past the bitmap cap.  Explicit requests are honored unchanged.
 BackendKind choose_backend(const graph::Graph& g, BackendKind requested);
 
 /// Constructs the chosen backend, resolving kAuto via `choose_backend`.

@@ -1,5 +1,6 @@
 #include "sim/simd.hpp"
 
+#include <bit>
 #include <cstdlib>
 
 #include "support/contracts.hpp"
@@ -52,10 +53,33 @@ std::uint64_t heard_sweep_scalar(std::uint64_t* heard,
   return any;
 }
 
+std::uint64_t and_popcount_scalar(const std::uint64_t* a,
+                                  const std::uint64_t* b, std::size_t words) {
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    total += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
+  }
+  return total;
+}
+
 constexpr Kernels kScalarKernels{Isa::kScalar, accumulate_first_scalar,
-                                 accumulate_scalar, heard_sweep_scalar};
+                                 accumulate_scalar, heard_sweep_scalar,
+                                 and_popcount_scalar};
 
 #if defined(RADIOCAST_SIMD_X86)
+
+// ---------------------------------------------------------------------------
+// Hardware popcount: every AVX2 host has popcnt, and AVX-512F hosts without
+// VPOPCNTDQ count with it too.
+
+__attribute__((target("popcnt"))) std::uint64_t and_popcount_popcnt(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
+  std::uint64_t total = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    total += static_cast<std::uint64_t>(__builtin_popcountll(a[w] & b[w]));
+  }
+  return total;
+}
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 words per lane.  Loads/stores are unaligned so shard word windows
@@ -132,7 +156,8 @@ __attribute__((target("avx2"))) std::uint64_t heard_sweep_avx2(
 }
 
 constexpr Kernels kAvx2Kernels{Isa::kAvx2, accumulate_first_avx2,
-                               accumulate_avx2, heard_sweep_avx2};
+                               accumulate_avx2, heard_sweep_avx2,
+                               and_popcount_popcnt};
 
 // ---------------------------------------------------------------------------
 // AVX-512F: 8 words per lane; vpternlogq fuses each kernel's 3-input
@@ -201,8 +226,33 @@ __attribute__((target("avx512f"))) std::uint64_t heard_sweep_avx512(
   return any;
 }
 
+// VPOPCNTDQ implies AVX-512F and popcnt (the tail loop).
+__attribute__((target("avx512vpopcntdq"))) std::uint64_t and_popcount_avx512(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
+  std::size_t w = 0;
+  __m512i sum = _mm512_setzero_si512();
+  for (; w + 8 <= words; w += 8) {
+    const __m512i va = _mm512_loadu_si512(a + w);
+    const __m512i vb = _mm512_loadu_si512(b + w);
+    sum = _mm512_add_epi64(sum, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
+  }
+  alignas(64) std::uint64_t lanes[8];  // spilled like heard_sweep_avx512
+  _mm512_storeu_si512(lanes, sum);
+  std::uint64_t total = 0;
+  for (const std::uint64_t lane : lanes) total += lane;
+  for (; w < words; ++w) {
+    total += static_cast<std::uint64_t>(__builtin_popcountll(a[w] & b[w]));
+  }
+  return total;
+}
+
 constexpr Kernels kAvx512Kernels{Isa::kAvx512, accumulate_first_avx512,
-                                 accumulate_avx512, heard_sweep_avx512};
+                                 accumulate_avx512, heard_sweep_avx512,
+                                 and_popcount_avx512};
+/// AVX-512F without VPOPCNTDQ (Skylake-SP, Cascade Lake).
+constexpr Kernels kAvx512PopcntKernels{Isa::kAvx512, accumulate_first_avx512,
+                                       accumulate_avx512, heard_sweep_avx512,
+                                       and_popcount_popcnt};
 
 #endif  // RADIOCAST_SIMD_X86
 
@@ -271,7 +321,9 @@ const Kernels& kernels_for(Isa isa) {
   switch (isa) {
 #if defined(RADIOCAST_SIMD_X86)
     case Isa::kAvx2: return kAvx2Kernels;
-    case Isa::kAvx512: return kAvx512Kernels;
+    case Isa::kAvx512:
+      if (__builtin_cpu_supports("avx512vpopcntdq")) return kAvx512Kernels;
+      return kAvx512PopcntKernels;
 #endif
     default: return kScalarKernels;
   }

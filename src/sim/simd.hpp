@@ -9,7 +9,10 @@
 /// `std::uint64_t` arrays, so vector width cannot change results — an AVX2
 /// or AVX-512 lane computes exactly the words the scalar loop would — and
 /// every backend stays bit-exact at every ISA (pinned by the forced-ISA
-/// differentials in tests/test_simd_kernels.cpp).
+/// differentials in tests/test_simd_kernels.cpp).  A fourth kernel,
+/// `and_popcount`, counts the bits two word arrays share; the stage-set
+/// construction (`core::build_stage_sets`) counts dominators with it on
+/// dense graphs.
 ///
 /// Selection happens once per process: the highest ISA the CPU supports
 /// wins, overridable by the `RADIOCAST_FORCE_ISA` environment variable
@@ -32,8 +35,10 @@ namespace radiocast::sim::simd {
 enum class Isa : std::uint8_t {
   kAuto,
   kScalar,  ///< plain uint64_t loops (always available, every platform)
-  kAvx2,    ///< 256-bit lanes (x86 with AVX2)
-  kAvx512,  ///< 512-bit lanes + vpternlogq (x86 with AVX-512F)
+  kAvx2,    ///< 256-bit lanes (x86 with AVX2); popcnt for `and_popcount`
+  /// 512-bit lanes + vpternlogq (x86 with AVX-512F); `and_popcount` uses
+  /// VPOPCNTDQ where the CPU has it and popcnt otherwise.
+  kAvx512,
 };
 
 const char* to_string(Isa isa);
@@ -61,6 +66,9 @@ struct Kernels {
                                const std::uint64_t* twice,
                                const std::uint64_t* tx_mask,
                                std::size_t words);
+  /// `Σ popcount(a[w] & b[w])`: the size of the intersection of two sets.
+  std::uint64_t (*and_popcount)(const std::uint64_t* a, const std::uint64_t* b,
+                                std::size_t words);
 };
 
 /// True iff `isa` can run on this CPU (kScalar and kAuto always can).

@@ -150,7 +150,8 @@ class ByteReader {
 
   std::vector<bool> vec_bool() {
     const std::uint64_t count = u64();
-    if (!ok_ || (count + 7) / 8 > remaining()) {
+    // ⌈count / 8⌉ by division: `(count + 7) / 8` wraps for counts near 2⁶⁴.
+    if (!ok_ || count / 8 + (count % 8 != 0) > remaining()) {
       ok_ = false;
       return {};
     }

@@ -27,18 +27,27 @@
 // ---------------------------------------------------------------------------
 // Global allocation counter for the silent-round fast-path test.  Replacing
 // operator new/delete is per-binary, so this instrumentation is visible to
-// every allocation the engine makes in this test executable.
+// every allocation the engine makes in this test executable.  The nothrow
+// forms are replaced too (as in test_population): std::inplace_merge's
+// temporary buffer, which G(n, p) graphs with stitched components build
+// through, comes from them and goes back through the replaced delete.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  return std::malloc(size ? size : 1);
+}
+void* operator new(std::size_t size) {
+  if (void* p = ::operator new(size, std::nothrow)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 // The deletes stay out of line: once GCC 12 inlines a std::free into a
 // caller that paired it with the replaced new, -Wmismatched-new-delete
 // fires at -O3.
@@ -48,6 +57,14 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
   std::free(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -276,7 +276,8 @@ TEST(BackendSelection, HybridNameIsRejected) {
 
 TEST(BackendSelection, AutoPicksScalarPastTheBitmapCap) {
   // n = 30000 and 65536 would need 107 MiB and 512 MiB bitmaps: past
-  // kBitBackendMemoryCap kAuto resolves to the scalar walk at any size.
+  // graph::kBitAdjacencyMemoryCap kAuto resolves to the scalar walk at any
+  // size.
   for (const std::uint32_t n : {30000u, 65536u}) {
     const Graph g = graph::path(n);
     EXPECT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),

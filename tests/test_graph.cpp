@@ -97,6 +97,12 @@ TEST(GraphBuilder, SortedRunsDeduplicateAcrossRuns) {
   b.add_sorted_run(run);
   b.add_edge(0, 1);
   EXPECT_EQ(std::move(b).build().edge_count(), 2u);
+  // A moved-in run is adopted by an empty builder and copied otherwise.
+  GraphBuilder moved(3);
+  moved.add_sorted_run(std::vector(run));
+  moved.add_sorted_run(std::vector(run));
+  moved.add_edge(0, 1);
+  EXPECT_EQ(std::move(moved).build().edge_count(), 2u);
 }
 
 TEST(GraphBuilder, FromSortedStreamMatchesPairListBuild) {
@@ -304,6 +310,41 @@ TEST(Generators, RandomGeometricMatchesPinnedHashes) {
   for (const auto& [descriptor, hash] : pinned) {
     EXPECT_EQ(hash_hex(canonical_hash(from_descriptor(descriptor))), hash)
         << descriptor;
+  }
+}
+
+// G(n, p) keeps one coin per pair in lexicographic order and stitches the
+// components it leaves.  Hashes and each generator's next draw recorded
+// from the per-edge `add_edge` generator: a faster build must reproduce
+// the graph and leave the caller's Rng in the same state.  Cases: dense
+// and connected, p = 0.01 and 0.005 (17 and 112 components stitched),
+// p = 0 (40), p = 1, n = 1, and n = 2 stitched or not.
+TEST(Generators, GnpMatchesPinnedHashes) {
+  struct Pin {
+    std::uint32_t n;
+    double p;
+    std::uint64_t seed;
+    const char* hash;
+    std::uint64_t next_draw;
+  };
+  const Pin pinned[] = {
+      {4096, 0.05, 21, "d3b4ae50fac54b24", 0x9e7cdd41dce2e71fULL},
+      {2048, 0.03, 14, "b09b4f4396c652ea", 0x6c3eb5b38659e193ULL},
+      {600, 0.2, 5, "e428bbef65809df5", 0x939299400ac44f1aULL},
+      {300, 0.01, 3, "16d4159aedefc969", 0x41e5eacf2312c61eULL},
+      {200, 0.005, 9, "f5035385e7d0b724", 0x66a5aebb6592c04bULL},
+      {40, 0.0, 2, "3ae2c3ec8438c20f", 0x1f3dc0b11480b341ULL},
+      {40, 1.0, 4, "aac3d59b17c2fead", 0x537ee0ca9da11864ULL},
+      {1, 0.5, 1, "392209f14dea4c24", 0xb3f2af6d0fc710c5ULL},
+      {2, 0.5, 1, "505f902eddfa2326", 0x92f89756082a4514ULL},
+      {2, 0.0, 7, "505f902eddfa2326", 0xd6f1d349952c7996ULL},
+      {2, 1.0, 3, "505f902eddfa2326", 0xa3fd1dea5e1864eeULL},
+  };
+  for (const Pin& pin : pinned) {
+    Rng rng(pin.seed);
+    const Graph g = gnp_connected(pin.n, pin.p, rng);
+    EXPECT_EQ(hash_hex(canonical_hash(g)), pin.hash);
+    EXPECT_EQ(rng.next(), pin.next_draw) << pin.hash;
   }
 }
 

@@ -2,6 +2,9 @@
 // (n ≥ 2048, so every node bitmap spans many 64-bit words), one per
 // (graph, DomPolicy).  A digest covers the labels, z / the coordinator, and
 // every DOM, NEW and FRONTIER level in stored order, plus stage_of and ℓ.
+// gnp and dense satisfy `graph::is_bit_dense`, so they pin the bitmap path
+// of `build_stage_sets`; the dense row was recorded from the list walk,
+// before that path existed.
 // Together with validate_stage_sets, a match shows the construction emits
 // the same sets in the same order; any change to frontier order, removal
 // order or a greedy tie-break moves a digest.
@@ -40,6 +43,8 @@ constexpr GoldenGraph kGraphs[] = {
     {"disk", "disk:4000:0.031:13", 2024, 7},
     {"gnp", "gnp:2048:0.03:14", 1500, 64},
     {"grid", "grid:60:60", 1830, 0},
+    // Average degree ~600 against 47 words per row: the bitmap path.
+    {"dense", "gnp:3000:0.2:15", 2999, 1234},
 };
 
 /// "<graph>/<policy> <λ_ack digest> <λ_arb digest>", graphs in kGraphs
@@ -80,6 +85,13 @@ constexpr const char* kDigests[] = {
     "grid/random d36282b8cc12b82e 58632d2007cd1a82",
     "grid/greedy-cover 4f0729ab16283c01 b6b6fc828e8a9f6b",
     "grid/max-fresh 7b5c95cdcb03ec4e b058642041d9416a",
+    "dense/ascending-id 6fa13a96fb8d0f3b 59c0409e1220c845",
+    "dense/descending-id 7f884d94ef272ca5 60f16ac92298e262",
+    "dense/prefer-drop-old 7ee85ff3411d6c1e a9136b080b0ef902",
+    "dense/prefer-drop-new 6fa13a96fb8d0f3b 7216be72836124a6",
+    "dense/random 93ab1698aab5e653 0d70487ac7bd5f5c",
+    "dense/greedy-cover 6dd308ae88c5443c 082450b6572bcb71",
+    "dense/max-fresh 33922eebacd1ac18 b38af1b26e9d9cd8",
 };
 
 std::uint64_t digest(const std::vector<core::Label>& labels, NodeId special,

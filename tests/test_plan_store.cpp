@@ -546,6 +546,48 @@ std::optional<std::string> decode_verdict(const runtime::Scheme& scheme,
   return packed_violation(encode_plan(scheme, plan), 0, arb);
 }
 
+// A length prefix that claims more elements than bytes remain is rejected
+// by every vector reader, including counts whose byte size wraps 2⁶⁴.
+TEST(ByteReaderLengths, EveryVectorReaderRejectsALengthLie) {
+  const std::uint64_t lies[] = {9, 1ull << 61, ~0ull - 6, ~0ull};
+  for (const std::uint64_t count : lies) {
+    support::ByteWriter writer;
+    writer.u64(count);
+    writer.u8(0xFF);  // one payload byte: room for 8 bits, no u32 or u64
+    const std::string bytes = writer.bytes();
+    {
+      support::ByteReader reader(bytes);
+      EXPECT_TRUE(reader.vec_bool().empty()) << count;
+      EXPECT_FALSE(reader.ok()) << count;
+    }
+    {
+      support::ByteReader reader(bytes);
+      EXPECT_TRUE(reader.vec_u32().empty()) << count;
+      EXPECT_FALSE(reader.ok()) << count;
+    }
+    {
+      support::ByteReader reader(bytes);
+      EXPECT_TRUE(reader.vec_u64().empty()) << count;
+      EXPECT_FALSE(reader.ok()) << count;
+    }
+  }
+  // The boundary itself still decodes: 8 bits in one byte.
+  support::ByteWriter writer;
+  writer.vec_bool(std::vector<bool>(8, true));
+  support::ByteReader reader(writer.bytes());
+  EXPECT_EQ(reader.vec_bool(), std::vector<bool>(8, true));
+  EXPECT_TRUE(reader.exhausted());
+}
+
+// A one-bit plan record claiming 2⁶⁴ − 7 bits is rejected, not decoded
+// into a zero-word bit vector and written past its end.
+TEST(ByteReaderLengths, OneBitPlanWithAWrappingBitCountIsRejected) {
+  const auto* scheme = runtime::SchemeRegistry::instance().find("onebit");
+  ASSERT_NE(scheme, nullptr);
+  const std::string payload("\x4F\x01\xF9\xFF\xFF\xFF\xFF\xFF\xFF\xFF", 10);
+  EXPECT_EQ(decode_plan(*scheme, payload), nullptr);
+}
+
 // Every λ_ack / λ_arb plan payload is at most ⌈3n/8⌉ + 64 bytes (26 bytes
 // of fields today), and a compiled payload adds exactly its tag, µ and the
 // fixed-width result, whatever n is.

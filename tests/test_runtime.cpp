@@ -31,6 +31,7 @@
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
 #include "runtime/wire.hpp"
+#include "sim/faults.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
@@ -530,6 +531,82 @@ TEST(SweepRunner, ConcurrentBatchesMatchSerialRunsAndBuildEachKeyOnce) {
     EXPECT_EQ(stats.plan_misses, serial_stats.plan_misses) << workers;
     EXPECT_EQ(stats.compiled_misses, serial_stats.compiled_misses) << workers;
     EXPECT_EQ(stats.plan_store_hits, 0u) << workers;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// One compiled-or-engine decision: a sweep must answer what run_scheme
+// answers when the compiled path does not apply.  A faulted compiled b spec
+// must run the engine under its faults (not replay the fault-free
+// schedule), and a compiled resilient ack spec, whose compile the scheme
+// declines, must run the engine instead of failing the batch.  Each batch
+// holds two copies of the spec (an owner and a sharer of one key) and runs
+// twice (cold, then warm), at 1 and 4 workers, with and without a store.
+TEST(SweepRunner, FaultedAndDeclinedCompilesAnswerLikeRunScheme) {
+  struct Case {
+    const char* scheme;
+    const char* graph;
+    const char* faults;
+    bool resilient;
+  };
+  const Case cases[] = {
+      {"b", "grid:8:8", "edge-loss:0.5:7", false},
+      {"ack", "grid:4:4", "", true},
+  };
+  const std::string dir = ::testing::TempDir() + "radiocast_sweep_decision";
+  for (const Case& c : cases) {
+    SchemeOptions opt;
+    opt.resilient = c.resilient;
+    ExecutionConfig cfg;
+    cfg.compiled = true;
+    if (*c.faults != '\0') {
+      const auto parsed = sim::parse_fault_plan(c.faults);
+      ASSERT_TRUE(parsed.ok) << parsed.error;
+      cfg.faults = parsed.plan;
+    }
+    const Graph g = graph::from_descriptor(c.graph);
+    const SchemeResult want = runtime::run_scheme(c.scheme, g, 0, opt, cfg);
+    ExperimentSpec spec;
+    spec.scheme = c.scheme;
+    spec.graph.generator = c.graph;
+    spec.options = opt;
+    spec.config = cfg;
+    const std::vector<ExperimentSpec> batch{spec, spec};
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool with_store : {false, true}) {
+        std::filesystem::remove_all(dir);
+        par::ThreadPool pool(workers);
+        runtime::PlanStore store(dir);
+        runtime::SweepRunner runner(pool);
+        if (with_store) runner.attach_store(&store);
+        std::string context = std::string(c.scheme) + " on " + c.graph;
+        context += with_store ? " +store @ " : " @ ";
+        context += std::to_string(workers);
+        for (const char* pass : {" cold #", " warm #"}) {
+          const auto got = runner.run(batch);
+          ASSERT_EQ(got.size(), batch.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            const std::string what = context + pass + std::to_string(i);
+            expect_results_equal(got[i], want, what);
+            EXPECT_EQ(got[i].labeling_found, want.labeling_found) << what;
+            EXPECT_EQ(got[i].bound, want.bound) << what;
+            EXPECT_EQ(got[i].ell, want.ell) << what;
+            EXPECT_EQ(got[i].special, want.special) << what;
+            EXPECT_EQ(got[i].last_learned, want.last_learned) << what;
+            EXPECT_EQ(got[i].stay_count, want.stay_count) << what;
+            EXPECT_EQ(got[i].data_tx_count, want.data_tx_count) << what;
+            EXPECT_EQ(got[i].polls, want.polls) << what;
+            EXPECT_EQ(got[i].attempts, want.attempts) << what;
+            EXPECT_EQ(got[i].ones, want.ones) << what;
+            EXPECT_EQ(got[i].label_bits, want.label_bits) << what;
+            EXPECT_EQ(got[i].rounds_per_message, want.rounds_per_message)
+                << what;
+          }
+        }
+        // Neither spec takes the compiled path, so nothing is cached.
+        EXPECT_EQ(runner.cache().compiled_count(), 0u);
+      }
+    }
   }
   std::filesystem::remove_all(dir);
 }

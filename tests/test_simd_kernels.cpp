@@ -3,6 +3,8 @@
 //  - every kernel at every host-available ISA must be bit-exact against the
 //    scalar oracle on randomized word arrays, including unaligned lengths,
 //    tail words, and misaligned (offset) pointers;
+//  - the stage-set construction on a dense graph's bitmap must emit the
+//    adjacency-list walk's sets exactly under every forced ISA and policy;
 //  - engines constructed under each forced ISA must produce traces identical
 //    to scalar-forced engines on every bit backend, with and without
 //    collision detection;
@@ -11,6 +13,7 @@
 //    hint must strictly drop polls on dense instances.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -20,6 +23,8 @@
 
 #include "core/labeling.hpp"
 #include "core/runner.hpp"
+#include "core/stages.hpp"
+#include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
@@ -165,6 +170,17 @@ void run_kernel_oracle(simd::Isa isa, std::size_t words, std::size_t offset,
     any_ref |= expect;
   }
   EXPECT_EQ(any_v, any_ref) << what;
+
+  // and_popcount: the bits two arrays share, against a from-scratch count.
+  const std::uint64_t* a = row0.data() + offset;
+  const std::uint64_t* b = row1.data() + offset;
+  std::uint64_t shared_ref = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    shared_ref += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
+  }
+  EXPECT_EQ(vk.and_popcount(a, b, words), shared_ref) << what << " shared";
+  EXPECT_EQ(sk.and_popcount(a, b, words), shared_ref) << what << " scalar";
+  EXPECT_EQ(vk.and_popcount(a, a, words), sk.and_popcount(a, a, words)) << what;
 }
 
 TEST(SimdKernels, AllIsasMatchScalarOracleAcrossLengthsAndOffsets) {
@@ -189,7 +205,56 @@ TEST(SimdKernels, ZeroWordCallsAreNoOps) {
     k.accumulate(&sentinel, &sentinel, &sentinel, 0);
     EXPECT_EQ(k.heard_sweep(&sentinel, &sentinel, &sentinel, &sentinel, 0),
               0u);
+    EXPECT_EQ(k.and_popcount(&sentinel, &sentinel, 0), 0u);
     EXPECT_EQ(sentinel, 0xABCDu) << simd::to_string(isa);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Forced-ISA stage-set differential: on a graph `graph::is_bit_dense`
+// accepts, build_stage_sets counts dominators with `and_popcount` over the
+// resident bitmap.  Under every ISA and every DomPolicy it must emit the
+// list walk's sets exactly.  Rows end in a partial word except at n = 1024.
+
+const char* const kDenseGraphs[] = {
+    "gnp:300:0.3:1",    // 5 words per row
+    "gnp:700:0.1:2",    // 11 words
+    "gnp:1024:0.08:3",  // 16 words, no partial word
+    "gnp:1500:0.05:4",  // 24 words
+    "bipartite:40:61",  // 2 words, complete bipartite
+};
+
+void expect_sets_equal(const core::StageSets& a, const core::StageSets& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.ell, b.ell) << what;
+  EXPECT_EQ(a.source, b.source) << what;
+  EXPECT_EQ(a.dom, b.dom) << what;
+  EXPECT_EQ(a.fresh, b.fresh) << what;
+  EXPECT_EQ(a.frontier, b.frontier) << what;
+  EXPECT_EQ(a.stage_of, b.stage_of) << what;
+  EXPECT_EQ(a.dom_member, b.dom_member) << what;
+}
+
+TEST(SimdStageSetsDifferential, BitmapPathMatchesListWalkUnderEveryIsa) {
+  IsaGuard guard;
+  for (const char* descriptor : kDenseGraphs) {
+    const Graph g = graph::from_descriptor(descriptor);
+    ASSERT_TRUE(graph::is_bit_dense(g)) << descriptor;
+    const NodeId n = g.node_count();
+    for (const NodeId source : {NodeId{0}, n / 2, n - 1}) {
+      for (const core::DomPolicy p : core::kAllDomPolicies) {
+        std::string base = descriptor;
+        base += " src " + std::to_string(source) + " " + core::to_string(p);
+        const auto walk = core::detail::build_stage_sets_list(g, source, p, 9);
+        ASSERT_EQ(core::validate_stage_sets(g, walk), "") << base;
+        for (const auto isa : available_isas()) {
+          simd::force_isa(isa);
+          const auto dense = core::build_stage_sets(g, source, p, 9);
+          expect_sets_equal(dense, walk, base + " @ " + simd::to_string(isa));
+        }
+        simd::force_isa(simd::Isa::kAuto);
+      }
+    }
   }
 }
 
