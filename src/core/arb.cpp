@@ -14,9 +14,9 @@ ArbProtocol::ArbProtocol(Label label,
       is_z_(label.x3 && !label.x1 && !label.x2),
       own_mu_(source_message),
       mu_(source_message),
-      phase1_(label, MsgKind::kInit, 1),
-      phase2_(label, MsgKind::kReady, 2),
-      phase3_(label, MsgKind::kData, 3) {
+      phase1_(label, MsgKind::kInit, 1, /*z_acks=*/true),
+      phase2_(label, MsgKind::kReady, 2, /*z_acks=*/false),
+      phase3_(label, MsgKind::kData, 3, /*z_acks=*/false) {
   if (is_coordinator_) {
     // Phase 1 starts immediately; Init carries no payload.
     phase1_.make_origin(0, 1);
@@ -56,12 +56,7 @@ std::optional<Message> ArbProtocol::on_round() {
     phase3_scheduled_ = true;
   }
 
-  // sG countdown (paper: wait T rounds after receiving "ready", then start the
-  // acknowledgement with µ appended).
-  if (own_mu_ && !is_coordinator_ && T_known_ && phase2_.informed() &&
-      source_ack_round_ == 0) {
-    source_ack_round_ = phase2_.first_data_local() + T_ + 1;
-  }
+  // sG countdown (armed by "ready" in on_hear).
   if (source_ack_round_ != 0 && r == source_ack_round_) {
     return Message{MsgKind::kAck, 2, *own_mu_, phase2_.informed_stamp()};
   }
@@ -108,10 +103,8 @@ std::uint64_t ArbProtocol::next_active_round() const {
       !phase3_scheduled_) {
     next = std::min(next, std::max(phase2_start_local_ + T_ + 1, round_ + 1));
   }
-  // sG countdown: the scheduled ack round, once computed.  It is computed at
-  // the poll following the "ready" reception (which the post-hear hint
-  // covers via the phase-2 just-informed wake) and always lies at least one
-  // round beyond that poll.
+  // sG countdown: the scheduled ack round, set when "ready" arrives (T >= 1
+  // puts it at least two rounds later).
   if (source_ack_round_ != 0 && round_ < source_ack_round_) {
     next = std::min(next, source_ack_round_);
   }
@@ -158,6 +151,12 @@ void ArbProtocol::on_hear(const Message& m) {
   if (m.kind == MsgKind::kReady && !T_known_) {
     T_ = m.payload;
     T_known_ = true;
+  }
+  // sG countdown (paper: wait T rounds after receiving "ready", then start
+  // the acknowledgement with µ appended).
+  if (own_mu_ && !is_coordinator_ && T_known_ && phase2_.informed() &&
+      source_ack_round_ == 0) {
+    source_ack_round_ = phase2_.first_data_local() + T_ + 1;
   }
   if (m.kind == MsgKind::kData && m.phase == 3) {
     if (!mu_) mu_ = m.payload;

@@ -24,7 +24,7 @@ MultiMessageProtocol::MultiMessageProtocol(Label label,
 
 void MultiMessageProtocol::arm_instance(std::size_t instance) {
   instance_ = instance;
-  core_.emplace(label_, MsgKind::kData, tag_of(instance));
+  core_.emplace(label_, MsgKind::kData, tag_of(instance), /*z_acks=*/true);
   ack_heard_local_ = 0;
   ack_heard_stamp_ = 0;
 }

@@ -17,7 +17,11 @@ using sim::Protocol;
 
 BroadcastPopulation::BroadcastPopulation(const std::vector<Label>& labels,
                                          NodeId source, std::uint32_t mu)
-    : labels_(labels), rows_(labels.size()), mu_(mu) {
+    : FlatPopulation(static_cast<NodeId>(labels.size())),
+      labels_(labels),
+      rows_(labels.size()),
+      source_(source),
+      mu_(mu) {
   RC_EXPECTS(source < rows_.size());
   rows_[source].informed = true;
   informed_ = 1;
@@ -53,20 +57,20 @@ std::optional<Message> BroadcastPopulation::decide(NodeId v, std::uint64_t r) {
 
 bool BroadcastPopulation::receive(NodeId v, const Message& m, std::uint64_t r) {
   Row& s = rows_[v];
-  bool changed = !s.sent_or_received;
+  // Only the source reads sent_or_received before it is informed, and it
+  // transmits before it can hear.
   s.sent_or_received = true;
   if (m.kind == MsgKind::kData) {
-    if (!s.informed) {
-      s.informed = true;
-      s.first_data = r;
-      ++informed_;
-      changed = true;
-    }
-  } else if (m.kind == MsgKind::kStay) {
-    s.stay_heard = r;
-    changed = true;
+    if (s.informed) return false;
+    s.informed = true;
+    s.first_data = r;
+    ++informed_;
+    return true;
   }
-  return changed;
+  if (m.kind != MsgKind::kStay) return false;
+  s.stay_heard = r;
+  // Only a "stay" the round after our µ arms the retransmission.
+  return s.informed && s.last_data_tx != 0 && r == s.last_data_tx + 1;
 }
 
 std::uint64_t BroadcastPopulation::next_active(NodeId v,
@@ -91,8 +95,9 @@ std::uint64_t BroadcastPopulation::next_active(NodeId v,
 // StampedPhase (StampedCore over arrays)
 // ---------------------------------------------------------------------------
 
-StampedPhase::StampedPhase(NodeId n, MsgKind data_kind, std::uint8_t phase)
-    : data_kind_(data_kind), phase_(phase), rows_(n) {}
+StampedPhase::StampedPhase(NodeId n, MsgKind data_kind, std::uint8_t phase,
+                           bool z_acks)
+    : data_kind_(data_kind), phase_(phase), z_acks_(z_acks), rows_(n) {}
 
 void StampedPhase::make_origin(NodeId v, std::uint32_t payload,
                                std::uint64_t first_stamp) {
@@ -170,7 +175,9 @@ StampedPhase::Heard StampedPhase::hear(NodeId v, const Message& m,
     RC_ASSERT(m.stamp.has_value());
     s.stay_heard = r;
     s.stay_stamp = *m.stamp;
-    return Heard::kStay;
+    if (informed(v) && s.last_data_tx != 0 && r == s.last_data_tx + 1) {
+      return Heard::kStay;
+    }
   }
   return Heard::kNothing;
 }
@@ -182,7 +189,10 @@ std::uint64_t StampedPhase::next_active(NodeId v, Label l,
   if (v == origin_) {
     if (!origin_started_) return r + 1;
   } else if (s.first_data != 0) {
-    if (r < s.first_data + 1) next = std::min(next, s.first_data + 1);
+    // The just-informed round: x2 sends "stay", z starts the ack.
+    if ((l.x2 || (z_acks_ && l.x3)) && r < s.first_data + 1) {
+      next = std::min(next, s.first_data + 1);
+    }
     if (l.x1 && r < s.first_data + 2) next = std::min(next, s.first_data + 2);
   }
   if (informed(v) && s.last_data_tx != 0 &&
@@ -198,8 +208,10 @@ std::uint64_t StampedPhase::next_active(NodeId v, Label l,
 
 AckPopulation::AckPopulation(const std::vector<Label>& labels, NodeId source,
                              std::uint32_t mu)
-    : labels_(labels),
-      core_(static_cast<NodeId>(labels.size()), MsgKind::kData, 0),
+    : FlatPopulation(static_cast<NodeId>(labels.size())),
+      labels_(labels),
+      core_(static_cast<NodeId>(labels.size()), MsgKind::kData, 0,
+            /*z_acks=*/true),
       acks_(labels.size()) {
   RC_EXPECTS(source < labels_.size());
   core_.make_origin(source, mu, 1);
@@ -229,7 +241,7 @@ bool AckPopulation::receive(NodeId v, const Message& m, std::uint64_t r) {
     RC_ASSERT(m.stamp.has_value());
     acks_[v] = {r, *m.stamp, 0};
     if (core_.is_origin(v) && ack_round_ == 0) ack_round_ = r;
-    return true;
+    return core_.has_transmit_stamp(v, *m.stamp);
   }
   const auto heard = core_.hear(v, m, r);
   if (heard == StampedPhase::Heard::kInformed) ++informed_;
@@ -251,9 +263,12 @@ std::uint64_t AckPopulation::next_active(NodeId v, std::uint64_t r) const {
 
 CommonRoundPopulation::CommonRoundPopulation(const std::vector<Label>& labels,
                                              NodeId source, std::uint32_t mu)
-    : labels_(labels),
-      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kData, 1),
-      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kData, 2),
+    : FlatPopulation(static_cast<NodeId>(labels.size())),
+      labels_(labels),
+      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kData, 1,
+              /*z_acks=*/true),
+      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kData, 2,
+              /*z_acks=*/false),
       acks_(labels.size()),
       m_(labels.size(), 0) {
   RC_EXPECTS(source < labels_.size());
@@ -305,19 +320,20 @@ bool CommonRoundPopulation::receive(NodeId v, const Message& m,
       // m-broadcast next round, stamped with the true global round m+1.
       learn_m(v, r);
       phase2_.make_origin(v, static_cast<std::uint32_t>(r), r + 1);
+      start_phase();
+      return true;
     }
-    return true;
+    return phase1_.has_transmit_stamp(v, *m.stamp);
   }
   using Heard = StampedPhase::Heard;
   const Heard heard1 = phase1_.hear(v, m, r);
   if (heard1 == Heard::kInformed) ++informed_;
-  bool changed = heard1 != Heard::kNothing;
-  changed = phase2_.hear(v, m, r) != Heard::kNothing || changed;
+  bool moved = heard1 != Heard::kNothing;
+  moved = phase2_.hear(v, m, r) != Heard::kNothing || moved;
   if (m.phase == 2 && m.kind == MsgKind::kData && m_[v] == 0) {
     learn_m(v, m.payload);
-    changed = true;
   }
-  return changed;
+  return moved;
 }
 
 std::uint64_t CommonRoundPopulation::next_active(NodeId v,
@@ -338,11 +354,15 @@ std::uint64_t CommonRoundPopulation::next_active(NodeId v,
 
 ArbPopulation::ArbPopulation(const std::vector<Label>& labels, NodeId source,
                              std::uint32_t mu)
-    : labels_(labels),
+    : FlatPopulation(static_cast<NodeId>(labels.size())),
+      labels_(labels),
       rows_(labels.size()),
-      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kInit, 1),
-      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kReady, 2),
-      phase3_(static_cast<NodeId>(labels.size()), MsgKind::kData, 3),
+      phase1_(static_cast<NodeId>(labels.size()), MsgKind::kInit, 1,
+              /*z_acks=*/true),
+      phase2_(static_cast<NodeId>(labels.size()), MsgKind::kReady, 2,
+              /*z_acks=*/false),
+      phase3_(static_cast<NodeId>(labels.size()), MsgKind::kData, 3,
+              /*z_acks=*/false),
       source_(source),
       mu_(mu) {
   RC_EXPECTS(source < labels_.size());
@@ -369,6 +389,11 @@ void ArbPopulation::learn_mu(NodeId v) {
 void ArbPopulation::set_done(NodeId v, std::uint64_t round) {
   if (rows_[v].done == 0 && round != 0) ++done_count_;
   rows_[v].done = round;
+}
+
+void ArbPopulation::start(StampedPhase& phase, std::uint32_t payload) {
+  phase.make_origin(coordinator_, payload, 1);
+  start_phase();
 }
 
 std::optional<Message> ArbPopulation::phase_rules(StampedPhase& core,
@@ -398,16 +423,11 @@ std::optional<Message> ArbPopulation::decide(NodeId v, std::uint64_t r) {
   // finished at relative round T, so start phase 3 without an ack chain.
   if (coordinator && source && phase2_start_ != 0 && !phase3_scheduled_ &&
       r > phase2_start_ + a.T) {
-    phase3_.make_origin(v, mu_, 1);
+    start(phase3_, mu_);
     phase3_scheduled_ = true;
   }
 
-  // sG countdown: wait T rounds after receiving "ready", then start the
-  // acknowledgement with µ appended.
-  if (source && !coordinator && a.T_known && phase2_.informed(v) &&
-      source_ack_round_ == 0) {
-    source_ack_round_ = phase2_.first_data(v) + a.T + 1;
-  }
+  // sG countdown (armed by "ready" in receive).
   if (source && source_ack_round_ != 0 && r == source_ack_round_) {
     return Message{MsgKind::kAck, 2, mu_, phase2_.informed_stamp(v)};
   }
@@ -450,46 +470,53 @@ bool ArbPopulation::receive(NodeId v, const Message& m, std::uint64_t r) {
       if (v == coordinator_ && !a.T_known) {
         a.T = m.payload;
         a.T_known = true;
-        phase2_.make_origin(v, a.T, 1);
+        start(phase2_, a.T);
+        return true;
       }
-    } else if (m.phase == 2) {
+      return phase1_.has_transmit_stamp(v, *m.stamp);
+    }
+    if (m.phase == 2) {
       a.ack2 = {r, *m.stamp, m.payload};
       if (v == coordinator_) {
         learn_mu(v);
         if (!phase3_scheduled_) {
-          phase3_.make_origin(v, m.payload, 1);
+          start(phase3_, m.payload);
           phase3_scheduled_ = true;
+          return true;
         }
       }
+      return phase2_.has_transmit_stamp(v, *m.stamp);
     }
-    return true;
+    return false;
   }
   // Each phase consumes only messages carrying its own tag.
   StampedPhase* phase = nullptr;
   if (m.phase == 1) phase = &phase1_;
   if (m.phase == 2) phase = &phase2_;
   if (m.phase == 3) phase = &phase3_;
-  bool changed = phase != nullptr &&
-                 phase->hear(v, m, r) != StampedPhase::Heard::kNothing;
+  bool moved = phase != nullptr &&
+               phase->hear(v, m, r) != StampedPhase::Heard::kNothing;
   if (m.kind == MsgKind::kReady && !a.T_known) {
     a.T = m.payload;
     a.T_known = true;
-    changed = true;
+  }
+  // sG countdown: the actual source waits T rounds after receiving "ready",
+  // then starts the acknowledgement with µ appended.
+  if (v == source_ && v != coordinator_ && a.T_known && phase2_.informed(v) &&
+      source_ack_round_ == 0) {
+    source_ack_round_ = phase2_.first_data(v) + a.T + 1;
+    moved = true;
   }
   if (m.kind == MsgKind::kData && m.phase == 3) {
-    if (!a.knows_mu) {
-      learn_mu(v);
-      changed = true;
-    }
+    learn_mu(v);
     if (a.done == 0 && phase3_.informed(v) && a.T_known) {
       // Wait T - t_v rounds after the phase-3 reception (paper §4 step 3).
       const std::uint64_t tv = t_v(v);
       RC_ASSERT_MSG(a.T >= tv, "T must dominate every t_v");
       set_done(v, r + (a.T - tv));
-      changed = true;
     }
   }
-  return changed;
+  return moved;
 }
 
 std::uint64_t ArbPopulation::next_active(NodeId v, std::uint64_t r) const {

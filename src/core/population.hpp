@@ -14,6 +14,14 @@
 /// A node's local clock equals the global round (every node starts in
 /// round 1), so every stamp below is a round number the node itself
 /// observed or read off a message.
+///
+/// Each population also keeps its listening mask (`sim::FlatPopulation`):
+/// a node goes deaf once it holds the data of every phase begun so far,
+/// except that the source and B_arb's coordinator always listen (acks,
+/// phase starts and the echo of their own µ reach them), a node holding a
+/// transmit stamp in a phase with acks listens for the ack it may have to
+/// forward, and a node that sends µ listens for the "stay" that may
+/// answer it.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +49,10 @@ class BroadcastPopulation final
   std::optional<sim::Message> decide(sim::NodeId v, std::uint64_t r);
   bool receive(sim::NodeId v, const sim::Message& m, std::uint64_t r);
   std::uint64_t next_active(sim::NodeId v, std::uint64_t r) const;
+  /// The source hears µ echoed back (`Engine::first_data_reception`).
+  bool listens(sim::NodeId v) const {
+    return !rows_[v].informed || v == source_;
+  }
 
  private:
   struct Row {
@@ -57,6 +69,7 @@ class BroadcastPopulation final
 
   std::vector<Label> labels_;
   std::vector<Row> rows_;
+  sim::NodeId source_;
   std::uint32_t mu_;
 };
 
@@ -65,7 +78,11 @@ class BroadcastPopulation final
 /// payload, so both are kept once per phase.
 class StampedPhase {
  public:
-  StampedPhase(sim::NodeId n, sim::MsgKind data_kind, std::uint8_t phase);
+  /// `z_acks`: z (label x3) starts an acknowledgement the round after it
+  /// first hears this phase's data — B_ack's phase, and phase 1 of the
+  /// common-round construction and of B_arb.
+  StampedPhase(sim::NodeId n, sim::MsgKind data_kind, std::uint8_t phase,
+               bool z_acks);
 
   /// Node v becomes the phase origin: it transmits (data_kind, payload,
   /// stamp = first_stamp) at its next poll.
@@ -78,7 +95,8 @@ class StampedPhase {
                                        std::uint64_t r) const;
   std::optional<sim::Message> maybe_stay_trigger(sim::NodeId v,
                                                  std::uint64_t r);
-  /// What a message did to node v's row.
+  /// What a message did to node v's row: nothing that moves its wake, its
+  /// first data, or a "stay" that arms the stay-triggered retransmission.
   enum class Heard : std::uint8_t { kNothing, kInformed, kStay };
   /// Consumes this phase's data/stay messages.
   Heard hear(sim::NodeId v, const sim::Message& m, std::uint64_t r);
@@ -88,7 +106,10 @@ class StampedPhase {
   bool informed(sim::NodeId v) const {
     return v == origin_ || rows_[v].first_data != 0;
   }
+  /// v holds this phase's data, or the phase has not started.
+  bool settled(sim::NodeId v) const { return !started() || informed(v); }
   bool is_origin(sim::NodeId v) const noexcept { return v == origin_; }
+  bool started() const noexcept { return origin_ != graph::kNoNode; }
   bool just_informed(sim::NodeId v, std::uint64_t r) const {
     return rows_[v].first_data != 0 && r == rows_[v].first_data + 1;
   }
@@ -99,6 +120,7 @@ class StampedPhase {
     return rows_[v].first_data;
   }
   bool has_transmit_stamp(sim::NodeId v, std::uint64_t k) const;
+  bool has_stamps(sim::NodeId v) const { return rows_[v].stamps != 0; }
   std::uint8_t phase() const noexcept { return phase_; }
 
  private:
@@ -123,6 +145,7 @@ class StampedPhase {
 
   sim::MsgKind data_kind_;
   std::uint8_t phase_;
+  bool z_acks_;
   std::vector<Row> rows_;
   std::vector<Stamp> pool_;
   sim::NodeId origin_ = graph::kNoNode;
@@ -153,6 +176,9 @@ class AckPopulation final : public sim::FlatPopulation<AckPopulation> {
   std::optional<sim::Message> decide(sim::NodeId v, std::uint64_t r);
   bool receive(sim::NodeId v, const sim::Message& m, std::uint64_t r);
   std::uint64_t next_active(sim::NodeId v, std::uint64_t r) const;
+  bool listens(sim::NodeId v) const {
+    return !core_.informed(v) || core_.is_origin(v) || core_.has_stamps(v);
+  }
 
   /// Round at which the source first heard an ack (0 = not yet); the
   /// scheme's stop predicate.
@@ -180,6 +206,10 @@ class CommonRoundPopulation final
   std::optional<sim::Message> decide(sim::NodeId v, std::uint64_t r);
   bool receive(sim::NodeId v, const sim::Message& m, std::uint64_t r);
   std::uint64_t next_active(sim::NodeId v, std::uint64_t r) const;
+  bool listens(sim::NodeId v) const {
+    return !phase1_.settled(v) || !phase2_.settled(v) ||
+           phase1_.is_origin(v) || phase1_.has_stamps(v);
+  }
 
   /// The common round 2m once known to v (0 = not yet).
   std::uint64_t knows_done_at(sim::NodeId v) const {
@@ -219,6 +249,14 @@ class ArbPopulation final : public sim::FlatPopulation<ArbPopulation> {
   std::optional<sim::Message> decide(sim::NodeId v, std::uint64_t r);
   bool receive(sim::NodeId v, const sim::Message& m, std::uint64_t r);
   std::uint64_t next_active(sim::NodeId v, std::uint64_t r) const;
+  /// Phase 3 also waits for v's done round, which its first phase-3 data
+  /// sets once v knows T.
+  bool listens(sim::NodeId v) const {
+    return v == source_ || v == coordinator_ || !phase1_.settled(v) ||
+           !phase2_.settled(v) || !phase3_.settled(v) ||
+           (phase3_.started() && rows_[v].done == 0) ||
+           phase1_.has_stamps(v) || phase2_.has_stamps(v);
+  }
 
   std::optional<std::uint32_t> mu(sim::NodeId v) const {
     return rows_[v].knows_mu ? std::optional<std::uint32_t>(mu_)
@@ -250,6 +288,8 @@ class ArbPopulation final : public sim::FlatPopulation<ArbPopulation> {
   }
   void learn_mu(sim::NodeId v);
   void set_done(sim::NodeId v, std::uint64_t round);
+  /// Makes the coordinator the origin of `phase`; every node listens again.
+  void start(StampedPhase& phase, std::uint32_t payload);
 
   std::vector<Label> labels_;
   std::vector<Row> rows_;

@@ -89,8 +89,9 @@ void BroadcastProtocol::on_hear(const Message& m) {
 // StampedCore (shared by Algorithm 2 and the protocols built on it)
 // ---------------------------------------------------------------------------
 
-StampedCore::StampedCore(Label label, MsgKind data_kind, std::uint8_t phase)
-    : label_(label), data_kind_(data_kind), phase_(phase) {}
+StampedCore::StampedCore(Label label, MsgKind data_kind, std::uint8_t phase,
+                         bool z_acks)
+    : label_(label), data_kind_(data_kind), phase_(phase), z_acks_(z_acks) {}
 
 void StampedCore::make_origin(std::uint32_t payload,
                               std::uint64_t first_stamp) {
@@ -162,10 +163,9 @@ std::uint64_t StampedCore::next_core_active(std::uint64_t r) const {
     // The one-off initial transmission fires at the next poll.
     if (!origin_started_) return r + 1;
   } else if (payload_ && first_data_local_ != 0) {
-    // Wake for the just-informed round unconditionally: x2 fires there, and
-    // the owners hang their own just-informed logic (z's ack initiation)
-    // off the same round.
-    if (r < first_data_local_ + 1) {
+    // The just-informed round: x2 sends "stay", and z starts the owners'
+    // ack in a phase that has one.
+    if ((label_.x2 || (z_acks_ && label_.x3)) && r < first_data_local_ + 1) {
       next = std::min(next, first_data_local_ + 1);
     }
     if (label_.x1 && r < first_data_local_ + 2) {
@@ -208,7 +208,9 @@ Message StampedCore::resilient_retransmit(std::uint64_t r) {
 
 AckBroadcastProtocol::AckBroadcastProtocol(
     Label label, std::optional<std::uint32_t> source_message, bool resilient)
-    : label_(label), core_(label, MsgKind::kData, 0), resilient_(resilient) {
+    : label_(label),
+      core_(label, MsgKind::kData, 0, /*z_acks=*/true),
+      resilient_(resilient) {
   if (source_message) core_.make_origin(*source_message, 1);
 }
 
@@ -299,8 +301,8 @@ void AckBroadcastProtocol::on_hear(const Message& m) {
 CommonRoundProtocol::CommonRoundProtocol(
     Label label, std::optional<std::uint32_t> source_message)
     : label_(label),
-      phase1_(label, MsgKind::kData, 1),
-      phase2_(label, MsgKind::kData, 2) {
+      phase1_(label, MsgKind::kData, 1, /*z_acks=*/true),
+      phase2_(label, MsgKind::kData, 2, /*z_acks=*/false) {
   if (source_message) phase1_.make_origin(*source_message, 1);
 }
 

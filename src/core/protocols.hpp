@@ -62,7 +62,11 @@ class BroadcastProtocol final : public sim::Protocol {
 /// logic (it differs across B_ack / common-round / B_arb).
 class StampedCore {
  public:
-  StampedCore(Label label, sim::MsgKind data_kind, std::uint8_t phase);
+  /// `z_acks`: z (label x3) starts an acknowledgement the round after it
+  /// first hears this phase's data — B_ack's phase, and phase 1 of the
+  /// common-round construction and of B_arb.
+  StampedCore(Label label, sim::MsgKind data_kind, std::uint8_t phase,
+              bool z_acks);
 
   /// Turns this node into the phase origin: it will transmit
   /// (data_kind, payload, stamp=first_stamp) at the next on_round.
@@ -89,12 +93,14 @@ class StampedCore {
   /// Activity hint shared by the owners' `next_active_round` overrides: the
   /// earliest round > r at which any core rule could fire without a further
   /// reception.  An un-started origin fires at its next poll; an informed
-  /// non-origin can act only in the just-informed round (x2 / the owners'
-  /// ack initiation) and the x1 round right after; the stay-triggered
-  /// retransmission is covered by the stay_heard_local_ branch, which is
-  /// inert at post-poll queries but makes the hint accurate immediately
-  /// after the "stay" reception (the owners' post-hear-hint opt-in relies
-  /// on it).  `sim::Protocol::kIdle` when no rule applies.
+  /// non-origin can act only in the just-informed round (x2's "stay", or
+  /// z's ack where the phase has one) and the x1 round right after, and is
+  /// woken only where its label acts, so every poll transmits; the
+  /// stay-triggered retransmission is covered by the stay_heard_local_
+  /// branch, which is inert at post-poll queries but makes the hint
+  /// accurate immediately after the "stay" reception (the owners'
+  /// post-hear-hint opt-in relies on it).  `sim::Protocol::kIdle` when no
+  /// rule applies.
   std::uint64_t next_core_active(std::uint64_t r) const;
 
   bool informed() const noexcept { return payload_.has_value(); }
@@ -117,6 +123,7 @@ class StampedCore {
   Label label_;
   sim::MsgKind data_kind_;
   std::uint8_t phase_;
+  bool z_acks_;
 
   std::optional<std::uint32_t> payload_;
   bool origin_ = false;

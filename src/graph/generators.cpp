@@ -1,8 +1,11 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <system_error>
 #include <vector>
 
 namespace radiocast::graph {
@@ -493,20 +496,29 @@ Graph from_descriptor(const std::string& descriptor) {
                  "empty graph descriptor");
   const std::string& family = parts[0];
   const std::size_t args = parts.size() - 1;
+  // Each argument is parsed whole; a malformed or out-of-range one (the
+  // descriptor may come off the wire) is a contract violation naming it.
+  const auto parsed = [&](std::size_t k, auto& value) {
+    const std::string& text = parts[k];
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    return ec == std::errc() && end == text.data() + text.size();
+  };
+  const auto bad = [&](std::size_t k, const char* expected) {
+    return "graph descriptor '" + descriptor + "': argument " +
+           std::to_string(k) + " ('" + parts[k] + "') must be " + expected;
+  };
   const auto num = [&](std::size_t k) {
-    RC_EXPECTS_MSG(k < parts.size() && !parts[k].empty() &&
-                       parts[k].find_first_not_of("0123456789") ==
-                           std::string::npos,
-                   "graph descriptor argument must be a non-negative integer");
-    return static_cast<std::uint32_t>(std::stoul(parts[k]));
+    std::uint64_t v = 0;
+    const bool in_range =
+        parsed(k, v) && v <= std::numeric_limits<std::uint32_t>::max();
+    RC_EXPECTS_MSG(in_range, bad(k, "an integer in [0, 2^32 - 1]"));
+    return static_cast<std::uint32_t>(v);
   };
   const auto real = [&](std::size_t k) {
-    RC_EXPECTS_MSG(k < parts.size() && !parts[k].empty(),
-                   "graph descriptor argument missing");
-    std::size_t used = 0;
-    const double v = std::stod(parts[k], &used);
-    RC_EXPECTS_MSG(used == parts[k].size(),
-                   "graph descriptor argument must be a number");
+    double v = 0;
+    const bool finite = parsed(k, v) && std::isfinite(v);
+    RC_EXPECTS_MSG(finite, bad(k, "a finite number"));
     return v;
   };
   if (family == "path" && args == 1) return path(num(1));

@@ -33,7 +33,8 @@ struct ExecutionConfig {
   /// spec's value changes nothing; the field stays for wire compatibility.
   std::size_t threads = 0;
   /// Prefer the compiled label-determined replay when the scheme has one
-  /// (`Scheme::can_compile`); schemes without one fall back to the engine.
+  /// for the spec's options (`Scheme::compiles`); other specs run on the
+  /// engine.
   bool compiled = false;
   /// Collision-detection mode.  Schemes that require it (beep) force it on
   /// regardless of this setting.

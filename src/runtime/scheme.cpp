@@ -103,8 +103,9 @@ std::vector<const Scheme*> SchemeRegistry::schemes() const {
   return out;
 }
 
-bool takes_compiled_path(const Scheme& scheme, const ExecutionConfig& config) {
-  return config.compiled && scheme.can_compile() && !config.faults.enabled();
+bool takes_compiled_path(const Scheme& scheme, const SchemeOptions& opt,
+                         const ExecutionConfig& config) {
+  return config.compiled && scheme.compiles(opt) && !config.faults.enabled();
 }
 
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
@@ -116,9 +117,9 @@ SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
   SchemeResult out;
   if (scheme.run_trivial(g, source, *plan, opt, out)) return out;
 
-  if (takes_compiled_path(scheme, config)) {
+  if (takes_compiled_path(scheme, opt, config)) {
     const auto compiled = scheme.compile(g, source, plan, opt, config);
-    if (compiled) return scheme.replay(g, source, *compiled, config);
+    return scheme.replay(g, source, *compiled, config);
   }
 
   sim::EngineOptions engine_opt = config.engine_options();

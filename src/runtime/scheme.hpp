@@ -136,6 +136,14 @@ class Scheme {
   /// True iff `compile` lowers the execution to a replayable CompiledPlan.
   virtual bool can_compile() const noexcept { return false; }
 
+  /// True iff `compile` lowers executions under `opt` (a `can_compile()`
+  /// scheme may exclude options its replay cannot model).  Default:
+  /// `can_compile()`.
+  virtual bool compiles(const SchemeOptions& opt) const noexcept {
+    (void)opt;
+    return can_compile();
+  }
+
   /// The labeling identity this scheme's plans belong to.  Schemes whose
   /// `label` computes the *same* construction share a family so one cached
   /// (or stored) plan serves all of them: b, ack, common-round, and multi
@@ -213,9 +221,9 @@ class Scheme {
   virtual bool run_trivial(const Graph& g, NodeId source, const Plan& plan,
                            const SchemeOptions& opt, SchemeResult& out) const;
 
-  /// Predicts the label-determined execution's observables (can_compile()
-  /// schemes only).  Takes the plan by shared pointer so the compiled plan
-  /// can retain it for full-trace replays.
+  /// Predicts the label-determined execution's observables (only where
+  /// `compiles(opt)`; never nullptr there).  Takes the plan by shared
+  /// pointer so the compiled plan can retain it for full-trace replays.
   virtual CompiledPlanPtr compile(const Graph& g, NodeId source,
                                   const PlanPtr& plan,
                                   const SchemeOptions& opt,
@@ -267,11 +275,12 @@ SchemeResult run_scheme(std::string_view name, const Graph& g, NodeId source,
                         const ExecutionConfig& config = {});
 
 /// The one compiled-or-engine decision: true iff `config.compiled` asks for
-/// a compiled replay, the scheme can compile, and no fault plan is enabled
-/// (a replay models the fault-free schedule).  A scheme may still decline by
-/// returning nullptr from `compile()`; that spec then runs on the engine.
-/// `run_with_plan` and `SweepRunner` both decide through this predicate.
-bool takes_compiled_path(const Scheme& scheme, const ExecutionConfig& config);
+/// a compiled replay, the scheme compiles under `opt`, and no fault plan is
+/// enabled (a replay models the fault-free schedule).  `run_with_plan` and
+/// `SweepRunner` both decide through this predicate, before any cache key
+/// is built.
+bool takes_compiled_path(const Scheme& scheme, const SchemeOptions& opt,
+                         const ExecutionConfig& config);
 
 /// Executes with an already-computed (possibly cached) plan.
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,

@@ -498,6 +498,11 @@ class AckScheme final : public AckFamilyScheme {
            "(Theorem 3.9)";
   }
   bool can_compile() const noexcept override { return true; }
+  /// Resilient retries depend on runtime receptions, which a
+  /// label-determined replay cannot predict; they run on the engine.
+  bool compiles(const SchemeOptions& opt) const noexcept override {
+    return !opt.resilient;
+  }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId, const Plan& plan,
@@ -570,9 +575,7 @@ CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
                                    const PlanPtr& plan,
                                    const SchemeOptions& opt,
                                    const ExecutionConfig& config) const {
-  // Resilient retries depend on runtime receptions, which a label-determined
-  // replay cannot predict; decline and let run_with_plan use the engine.
-  if (opt.resilient) return nullptr;
+  RC_EXPECTS_MSG(compiles(opt), "resilient B_ack runs on the engine");
   const LabelPlan& p = label_plan(*plan, g);
   auto out = compiled_result(plan, opt.mu);
   SchemeResult& r = out->result;

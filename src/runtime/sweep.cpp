@@ -273,7 +273,7 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     plan_key += r.scheme->plan_family();
     plan_key += "|";
     plan_key += r.scheme->plan_key(spec.source, spec.options);
-    if (takes_compiled_path(*r.scheme, spec.config)) {
+    if (takes_compiled_path(*r.scheme, spec.options, spec.config)) {
       std::string compiled_key(plan_key);
       compiled_key += "|";
       compiled_key += spec.scheme;
@@ -391,9 +391,6 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     Resolved& r = resolved[i];
     r.compiled = r.scheme->compile(*r.graph, spec.source, r.plan,
                                    spec.options, spec.config);
-    // A declined compile runs the spec (and its key's sharers) on the
-    // engine, as run_with_plan does; nothing is cached for it.
-    if (r.compiled == nullptr) return 0;
     cache_.put_compiled(r.compiled_key, r.compiled);
     if (store_ != nullptr && r.scheme->can_store_plans()) {
       support::ByteWriter writer;

@@ -24,33 +24,36 @@ std::optional<BackendKind> parse_backend(std::string_view name) {
 // ---------------------------------------------------------------------------
 // ScalarEngine
 
-ScalarEngine::ScalarEngine(const graph::Graph& g) : graph_(g) {
-  const auto n = g.node_count();
-  tx_neighbor_count_.assign(n, 0);
-  unique_tx_index_.assign(n, 0);
-  transmitting_.assign(n, 0);
-  touched_bits_.assign(graph::BitAdjacency::words_for(n), 0);
-}
+ScalarEngine::ScalarEngine(const graph::Graph& g)
+    : EngineBackend(g.node_count()),
+      graph_(g),
+      slots_(g.node_count()),
+      touched_bits_(graph::BitAdjacency::words_for(g.node_count()), 0) {}
 
 void ScalarEngine::resolve(std::span<const NodeId> transmitters,
+                           std::span<const std::uint64_t> listening,
                            bool want_collisions, RoundResolution& out) {
   out.clear();
   if (transmitters.empty()) return;
 
-  for (const NodeId t : transmitters) transmitting_[t] = 1;
+  // A transmitting node never hears: its slot starts saturated, so the
+  // walk below counts it without ever touching it first.
+  for (const NodeId t : transmitters) slots_[t].count = 2;
 
   // First touch of a listener sets its bit; first touch of its word records
   // the word, so extraction visits this round's footprint only.
   touched_words_.clear();
   for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
     for (const NodeId w : graph_.neighbors(transmitters[i])) {
-      if (tx_neighbor_count_[w] == 0) {
-        unique_tx_index_[w] = i;
-        const std::uint32_t word = w >> 6;
+      const std::uint32_t word = w >> 6;
+      const std::uint64_t bit = std::uint64_t{1} << (w & 63);
+      if ((listening[word] & bit) == 0) continue;
+      Slot& slot = slots_[w];
+      if (slot.count++ == 0) {
+        slot.tx = i;
         if (touched_bits_[word] == 0) touched_words_.push_back(word);
-        touched_bits_[word] |= std::uint64_t{1} << (w & 63);
+        touched_bits_[word] |= bit;
       }
-      ++tx_neighbor_count_[w];
     }
   }
 
@@ -64,25 +67,25 @@ void ScalarEngine::resolve(std::span<const NodeId> transmitters,
     while (bits) {
       const auto w = static_cast<NodeId>((word << 6) + std::countr_zero(bits));
       bits &= bits - 1;
-      const std::uint32_t count = tx_neighbor_count_[w];
-      tx_neighbor_count_[w] = 0;
-      if (transmitting_[w]) continue;  // a transmitting node never hears
+      Slot& slot = slots_[w];
+      const std::uint32_t count = slot.count;
+      slot.count = 0;
       if (count == 1) {
-        out.deliveries.emplace_back(w, unique_tx_index_[w]);
+        out.deliveries.emplace_back(w, slot.tx);
       } else if (want_collisions) {
         out.collisions.push_back(w);
       }
     }
   }
 
-  for (const NodeId t : transmitters) transmitting_[t] = 0;
+  for (const NodeId t : transmitters) slots_[t].count = 0;
 }
 
 // ---------------------------------------------------------------------------
 // BitEngine
 
 BitEngine::BitEngine(const graph::Graph& g)
-    : kernels_(&simd::active_kernels()) {
+    : EngineBackend(g.node_count()), kernels_(&simd::active_kernels()) {
   if (graph::is_bit_dense(g)) {
     adj_ = &g.bit_adjacency();
   } else {
@@ -94,10 +97,12 @@ BitEngine::BitEngine(const graph::Graph& g)
   twice_.assign(words_, 0);
   tx_mask_.assign(words_, 0);
   heard_.assign(words_, 0);
+  heard_words_.reserve(words_);
   unique_tx_index_.assign(g.node_count(), 0);
 }
 
 void BitEngine::resolve(std::span<const NodeId> transmitters,
+                        std::span<const std::uint64_t> listening,
                         bool want_collisions, RoundResolution& out) {
   out.clear();
   if (transmitters.empty()) return;
@@ -119,16 +124,26 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
     tx_mask_[t >> 6] |= std::uint64_t{1} << (t & 63);
   }
 
-  const std::uint64_t any_heard = kernels_->heard_sweep(
-      heard_.data(), once_.data(), twice_.data(), tx_mask_.data(), words_);
+  // Only listeners hear: the mask cuts `heard_` down to the words worth
+  // attributing.
+  heard_words_.clear();
+  if (kernels_->heard_sweep(heard_.data(), once_.data(), twice_.data(),
+                            tx_mask_.data(), words_) != 0) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      heard_[w] &= listening[w];
+      if (heard_[w] != 0) {
+        heard_words_.push_back(static_cast<std::uint32_t>(w));
+      }
+    }
+  }
 
-  if (any_heard != 0) {
+  if (!heard_words_.empty()) {
     // Attribute each heard listener to its unique transmitter.  Every heard
     // bit lies in exactly one transmitter's row, so this writes each slot
     // once.  All-collision rounds skip both passes entirely.
     for (std::uint32_t i = 0; i < transmitters.size(); ++i) {
       const auto row = adj_->row(transmitters[i]);
-      for (std::size_t w = 0; w < words_; ++w) {
+      for (const std::uint32_t w : heard_words_) {
         std::uint64_t hits = row[w] & heard_[w];
         while (hits) {
           const auto b = static_cast<std::uint32_t>(std::countr_zero(hits));
@@ -138,7 +153,7 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
       }
     }
 
-    for (std::size_t w = 0; w < words_; ++w) {
+    for (const std::uint32_t w : heard_words_) {
       std::uint64_t h = heard_[w];
       while (h) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
@@ -151,7 +166,7 @@ void BitEngine::resolve(std::span<const NodeId> transmitters,
 
   if (want_collisions) {
     for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t c = twice_[w] & ~tx_mask_[w];
+      std::uint64_t c = twice_[w] & ~tx_mask_[w] & listening[w];
       while (c) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(c));
         c &= c - 1;

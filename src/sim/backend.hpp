@@ -4,14 +4,19 @@
 /// Resolving a round means: given the set of transmitters, find every
 /// listening node with exactly one transmitting neighbour (it hears that
 /// neighbour's message) and every listening node with two or more (a
-/// collision).  Transmitters themselves never hear (paper §1.1).  Protocol
-/// dispatch and bookkeeping live in `Engine` and are backend-independent;
-/// only this resolution step is specialized:
+/// collision).  Transmitters themselves never hear (paper §1.1).  Which
+/// nodes listen is a mask the caller passes: every node, or the
+/// population's `Population::listening()` superset of the nodes a
+/// reception could change, so a round's work follows the labels instead
+/// of the transmitters' whole neighbourhoods.  Protocol dispatch and
+/// bookkeeping live in `Engine` and are backend-independent; only this
+/// resolution step is specialized:
 ///
 ///  - `ScalarEngine` walks transmitter adjacency lists in the CSR graph:
 ///    O(sum of deg(t) + touched words) per round and O(n + m) memory —
 ///    optimal for sparse graphs, and kAuto's choice for every graph past
-///    the `graph::kBitAdjacencyMemoryCap` bitmap wall.
+///    the `graph::kBitAdjacencyMemoryCap` bitmap wall.  A neighbour off the
+///    mask costs one bit test.
 ///  - `BitEngine` uses dense `graph::BitAdjacency` rows and the once/twice
 ///    saturating accumulator (`twice |= once & row; once |= row`):
 ///    O(T * n/64) word operations per round regardless of edge count,
@@ -72,42 +77,67 @@ class EngineBackend {
  public:
   virtual ~EngineBackend() = default;
 
-  EngineBackend() = default;
   EngineBackend(const EngineBackend&) = delete;
   EngineBackend& operator=(const EngineBackend&) = delete;
 
   virtual BackendKind kind() const noexcept = 0;
   virtual const char* name() const noexcept = 0;
 
-  /// Resolves one round.  `transmitters` must be strictly increasing node
-  /// ids.  When `want_collisions` is false the backend may leave
-  /// `out.collisions` empty (the engine only needs the collision set for
-  /// collision-detection mode or full traces).
+  /// Resolves one round for the nodes `listening` holds (bit v of word
+  /// v / 64; at least ⌈n/64⌉ words): a node off the mask neither hears nor
+  /// collides.  `transmitters` must be strictly increasing node ids.  When
+  /// `want_collisions` is false the backend may leave `out.collisions`
+  /// empty (the engine only needs the collision set for collision-detection
+  /// mode or full traces).
   virtual void resolve(std::span<const NodeId> transmitters,
+                       std::span<const std::uint64_t> listening,
                        bool want_collisions, RoundResolution& out) = 0;
+
+  /// Resolves one round with every node listening.
+  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
+               RoundResolution& out) {
+    resolve(transmitters, everyone_, want_collisions, out);
+  }
+
+ protected:
+  explicit EngineBackend(NodeId n)
+      : everyone_(graph::BitAdjacency::words_for(n), ~std::uint64_t{0}) {}
+
+ private:
+  std::vector<std::uint64_t> everyone_;  ///< the all-listening mask
 };
 
 /// Sparse backend: the seed engine's per-transmitter adjacency walk, with
 /// all scratch hoisted into reused buffers cleared via touched-node
-/// bookkeeping — no per-round O(n) allocation or zeroing.  Listeners are
-/// extracted in ascending order from an n/64-word touched bitmap, visiting
-/// only the words this round touched (sorted, at most n/64 of them), so a
-/// round costs O(sum of deg(t) + touched words log touched words) with no
-/// per-listener sort.
+/// bookkeeping — no per-round O(n) allocation or zeroing.  Each listener
+/// has one 8-byte slot (its transmitting-neighbour count and the first
+/// transmitter's index), so a neighbour visit touches one cache line.
+/// Listeners are extracted in ascending order from an n/64-word touched
+/// bitmap, visiting only the words this round touched (sorted, at most n/64
+/// of them), so a round costs O(sum of deg(t) + touched words log touched
+/// words) with no per-listener sort.
 class ScalarEngine final : public EngineBackend {
  public:
   explicit ScalarEngine(const graph::Graph& g);
 
   BackendKind kind() const noexcept override { return BackendKind::kScalar; }
   const char* name() const noexcept override { return "scalar"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
+  using EngineBackend::resolve;
+  void resolve(std::span<const NodeId> transmitters,
+               std::span<const std::uint64_t> listening, bool want_collisions,
                RoundResolution& out) override;
 
  private:
+  /// A listener's round: how many neighbours transmit (a transmitter's
+  /// slot starts saturated at 2, so no walk ever touches it first), and the
+  /// index of the first one.
+  struct Slot {
+    std::uint32_t count = 0;
+    std::uint32_t tx = 0;
+  };
+
   const graph::Graph& graph_;
-  std::vector<std::uint32_t> tx_neighbor_count_;
-  std::vector<std::uint32_t> unique_tx_index_;
-  std::vector<std::uint8_t> transmitting_;
+  std::vector<Slot> slots_;
   /// One bit per listener touched this round; all-zero between rounds.
   std::vector<std::uint64_t> touched_bits_;
   /// Indices of this round's nonzero `touched_bits_` words.
@@ -131,7 +161,9 @@ class BitEngine final : public EngineBackend {
 
   BackendKind kind() const noexcept override { return BackendKind::kBit; }
   const char* name() const noexcept override { return "bit"; }
-  void resolve(std::span<const NodeId> transmitters, bool want_collisions,
+  using EngineBackend::resolve;
+  void resolve(std::span<const NodeId> transmitters,
+               std::span<const std::uint64_t> listening, bool want_collisions,
                RoundResolution& out) override;
 
   const graph::BitAdjacency& adjacency() const noexcept { return *adj_; }
@@ -146,7 +178,8 @@ class BitEngine final : public EngineBackend {
   std::vector<std::uint64_t> once_;     ///< >= 1 transmitting neighbour
   std::vector<std::uint64_t> twice_;    ///< >= 2 transmitting neighbours
   std::vector<std::uint64_t> tx_mask_;  ///< transmitter membership
-  std::vector<std::uint64_t> heard_;    ///< once & ~twice & ~tx_mask
+  std::vector<std::uint64_t> heard_;    ///< once & ~twice & ~tx_mask & mask
+  std::vector<std::uint32_t> heard_words_;  ///< nonzero `heard_` words
   std::vector<std::uint32_t> unique_tx_index_;
 };
 

@@ -48,6 +48,8 @@ Engine::Engine(const graph::Graph& g, std::unique_ptr<Population> population,
   }
   population_->bind(wakes_.get(), options_.post_hear_hint,
                     fault_session_ != nullptr);
+  masked_ = dispatch_ == DispatchKind::kActiveSet && options_.post_hear_hint &&
+            options_.trace == TraceLevel::kCounters && !fault_session_;
 }
 
 std::uint64_t Engine::max_tx_count() const {
@@ -163,13 +165,17 @@ bool Engine::step() {
   // sits under a collision.  Collision lists are only materialized when an
   // observer (trace or the CD signal) will consume them; a fully silent
   // round skips resolution entirely (and, under kActiveSet, has done no
-  // protocol work at all).
+  // protocol work at all).  A masked run resolves for the listening nodes
+  // only: a reception anywhere else would change nothing.
   const bool record_full = options_.trace == TraceLevel::kFull;
+  const bool want_collisions = record_full || options_.collision_detection;
   if (tx_ids_.empty()) {
     resolution_.clear();
-  } else {
-    backend_->resolve(tx_ids_, record_full || options_.collision_detection,
+  } else if (masked_) {
+    backend_->resolve(tx_ids_, population_->listening(), want_collisions,
                       resolution_);
+  } else {
+    backend_->resolve(tx_ids_, want_collisions, resolution_);
   }
 
   // Phase 2.5 (faults only): filter the backend's ground truth — crashed
@@ -177,9 +183,7 @@ bool Engine::step() {
   // turn everything into collision/silence.  Runs even on a transmission-
   // free round: a jam is an adversarial transmitter, so collision-detecting
   // listeners still sense it.
-  if (fault_session_) {
-    apply_faults(record_full || options_.collision_detection);
-  }
+  if (fault_session_) apply_faults(want_collisions);
 
   // Phase 3: deliver.  The engine keeps the per-node counters; the
   // population updates its nodes and re-arms sleeping listeners (for the

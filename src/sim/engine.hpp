@@ -27,6 +27,12 @@
 ///    hints and polls only woken nodes, in id order, so dispatch cost
 ///    tracks activity instead of n — decisions, traces, and counters stay
 ///    bit-exact with the scan.
+///
+/// On the path the sweeps run — active set, post-hear hints, counters
+/// trace, no fault plan — rounds are resolved for the population's
+/// listening nodes only (`Population::listening`), so deliveries follow
+/// the labels too.  Every other configuration resolves for every node, so
+/// traces, `rx_count` and the fault counters keep their full meaning.
 #pragma once
 
 #include <cstdint>
@@ -145,6 +151,9 @@ class Engine {
     RC_EXPECTS(v < tx_count_.size());
     return tx_count_[v];
   }
+  /// Receptions the engine delivered to v: every reception, except on a
+  /// listening-masked run (see above), where a node counts only what it
+  /// heard while listening.
   std::uint64_t rx_count(NodeId v) const {
     RC_EXPECTS(v < rx_count_.size());
     return rx_count_[v];
@@ -227,6 +236,8 @@ class Engine {
   // Dispatch state: kScan polls `all_nodes_` every round; kActiveSet polls
   // what the calendar wakes.
   DispatchKind dispatch_ = DispatchKind::kScan;
+  /// Resolve for the population's listening nodes only.
+  bool masked_ = false;
   std::vector<NodeId> all_nodes_;
   std::unique_ptr<WakeCalendar> wakes_;
   std::vector<NodeId> woken_;

@@ -4,7 +4,8 @@ namespace radiocast::sim {
 
 ProtocolPopulation::ProtocolPopulation(
     std::vector<std::unique_ptr<Protocol>> protocols)
-    : protocols_(std::move(protocols)) {
+    : protocols_(std::move(protocols)),
+      everyone_((protocols_.size() + 63) / 64, ~std::uint64_t{0}) {
   for (const auto& p : protocols_) RC_EXPECTS(p != nullptr);
   const NodeId n = size();
   informed_.assign(n, 0);

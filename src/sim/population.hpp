@@ -19,8 +19,14 @@
 /// Every node starts in round 1 together, so a node's local clock equals
 /// the global round and the hooks pass that one number; no rule reads
 /// anything but its own row, its label, and the message it heard.
+///
+/// A population also names the nodes a reception could still change
+/// (`listening()`); the engine resolves rounds for those alone on the path
+/// the sweeps run, so an informed node stops paying for every µ its
+/// neighbours repeat.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -91,6 +97,12 @@ class Population {
   virtual std::uint32_t informed_count() const = 0;
   virtual bool all_informed() const { return informed_count() == size(); }
 
+  /// One bit per node (bit v of word v / 64): a superset of the nodes a
+  /// reception in the coming round could change.  Valid between `poll` and
+  /// `hear`; the engine resolves a round for these listeners only when it
+  /// needs no other node's receptions (see `Engine`).
+  virtual std::span<const std::uint64_t> listening() const = 0;
+
  protected:
   /// Active set: schedules the wake a `sim::Protocol` activity hint names
   /// (`kIdle`: none; `kAlwaysActive`: the next round).
@@ -106,20 +118,49 @@ class Population {
   bool faults_ = false;
 };
 
+/// The listening mask of a flat population (`Population::listening`): one
+/// bit per node, all set at the start and again by `listen_all`.
+class ListenSet {
+ public:
+  explicit ListenSet(NodeId n) : n_(n), words_((n + 63) / 64) {
+    listen_all();
+  }
+
+  std::span<const std::uint64_t> words() const noexcept { return words_; }
+
+  void listen_all() {
+    std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
+    if (n_ % 64 != 0) words_.back() = (std::uint64_t{1} << (n_ % 64)) - 1;
+  }
+  void listen(NodeId v) { words_[v >> 6] |= std::uint64_t{1} << (v & 63); }
+  void deafen(NodeId v) { words_[v >> 6] &= ~(std::uint64_t{1} << (v & 63)); }
+
+ private:
+  NodeId n_;
+  std::vector<std::uint64_t> words_;
+};
+
 /// Batched hooks over per-node rules whose state lives in arrays.  `Rules`
 /// derives from `FlatPopulation<Rules>` and provides, for node v in round r:
 ///
 ///   std::optional<Message> decide(NodeId v, std::uint64_t r);
 ///       the node's transmission, if any (`Protocol::on_round`);
 ///   bool receive(NodeId v, const Message& m, std::uint64_t r);
-///       a reception (`Protocol::on_hear`); false iff it left v's state
-///       unchanged;
+///       a reception (`Protocol::on_hear`); false iff v's activity hint
+///       cannot have moved;
 ///   std::uint64_t next_active(NodeId v, std::uint64_t r) const;
 ///       the activity hint, accurate after polls and after events alike
-///       (`next_active_round` with the post-hear opt-in).
+///       (`next_active_round` with the post-hear opt-in);
+///   bool listens(NodeId v) const;
+///       whether a reception could still change v, apart from a "stay" in
+///       the round after v sent µ: a node that sends µ listens until its
+///       next reception, and then as long as `listens` says.
 ///
 /// A poll in a round the hint skipped must return nothing and change
 /// nothing, so kScan and the active set agree.  Collisions change no state.
+/// A node's `listens` may turn true only when it sends µ or when the rules
+/// call `start_phase`, and false only when it receives, so the mask is
+/// re-read only at those three events.
 template <typename Rules>
 class FlatPopulation : public Population {
  public:
@@ -127,10 +168,20 @@ class FlatPopulation : public Population {
 
   std::uint32_t informed_count() const final { return informed_; }
 
+  std::span<const std::uint64_t> listening() const final {
+    return listening_.words();
+  }
+
   void poll(std::span<const NodeId> nodes, std::uint64_t round,
             std::vector<Decision>& out) final {
     for (const NodeId v : nodes) {
-      if (auto m = rules().decide(v, round)) out.emplace_back(v, *m);
+      if (auto m = rules().decide(v, round)) {
+        // A "stay" may answer µ (or a B_arb phase message) next round.
+        if (m->kind != MsgKind::kStay && m->kind != MsgKind::kAck) {
+          listening_.listen(v);
+        }
+        out.emplace_back(v, *m);
+      }
       if (wakes_ != nullptr) wake(v, rules().next_active(v, round), round);
     }
   }
@@ -138,13 +189,14 @@ class FlatPopulation : public Population {
   void hear(std::span<const Delivery> deliveries,
             std::span<const Decision> decisions, std::uint64_t round) final {
     for (const auto& [w, tx_index] : deliveries) {
-      const bool changed =
-          rules().receive(w, decisions[tx_index].second, round);
+      const bool moved = rules().receive(w, decisions[tx_index].second, round);
+      // A reception comes a round or more after the node's last µ, so from
+      // here on the rules alone decide whether it listens.
+      if (!rules().listens(w)) listening_.deafen(w);
       // A hint moves only with the node's state or at its polls, so after a
-      // reception that changed nothing the post-hear re-query would only
-      // re-queue the wake already queued (dense graphs re-deliver µ to
-      // informed nodes all the time).
-      if (wakes_ != nullptr && (changed || !post_hear_hint_)) rearm(w, round);
+      // reception that left the wake where it was the post-hear re-query
+      // would only re-queue the wake already queued.
+      if (wakes_ != nullptr && (moved || !post_hear_hint_)) rearm(w, round);
     }
   }
 
@@ -154,6 +206,11 @@ class FlatPopulation : public Population {
   }
 
  protected:
+  explicit FlatPopulation(NodeId n) : listening_(n) {}
+
+  /// A new phase starts: every node listens until it holds its data.
+  void start_phase() { listening_.listen_all(); }
+
   /// Number of informed nodes; the rules keep it current.
   std::uint32_t informed_ = 0;
 
@@ -172,6 +229,8 @@ class FlatPopulation : public Population {
       wakes_->schedule(v, round + 1);
     }
   }
+
+  ListenSet listening_;
 };
 
 /// One `sim::Protocol` object per node behind the population hooks: the
@@ -196,6 +255,10 @@ class ProtocolPopulation final : public Population {
   void restart(std::span<const NodeId> nodes, std::uint64_t round) override;
 
   bool informed(NodeId v) const override;
+  /// Every node: a protocol may act on any reception.
+  std::span<const std::uint64_t> listening() const override {
+    return everyone_;
+  }
   /// Exact: lazily reconciles nodes whose informed-ness changed inside
   /// on_round (collision-detection protocols that decode silence, e.g. the
   /// beep baseline) by probing the still-unmarked tail.
@@ -231,6 +294,7 @@ class ProtocolPopulation final : public Population {
   }
 
   std::vector<std::unique_ptr<Protocol>> protocols_;
+  std::vector<std::uint64_t> everyone_;  ///< the all-listening mask
   /// Round-0 activity hints, computed once by has_hints() or on_bind().
   std::vector<std::uint64_t> initial_hints_;
   /// True iff local clocks are maintained: under the active set, and in

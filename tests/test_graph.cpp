@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -311,6 +312,27 @@ TEST(Generators, RandomGeometricMatchesPinnedHashes) {
     EXPECT_EQ(hash_hex(canonical_hash(from_descriptor(descriptor))), hash)
         << descriptor;
   }
+}
+
+// Descriptors arrive off the wire: an argument that is not a whole integer
+// in [0, 2^32 - 1] or a whole finite number is a contract violation naming
+// it, never a library exception or a silently truncated size.
+TEST(Generators, FromDescriptorRejectsMalformedArguments) {
+  for (const char* descriptor :
+       {"gnp:100:abc:1", "path:99999999999999999999999", "gnp:50:1e999:3",
+        "grid:4294967298:1", "path:", "path:-3", "path: 7", "tree:12:0x10",
+        "gnp:50:0.1x:3", "gnp:50:nan:3", "disk:40:inf:2"}) {
+    EXPECT_THROW(from_descriptor(descriptor), ContractViolation) << descriptor;
+  }
+  try {
+    from_descriptor("gnp:100:abc:1");
+  } catch (const ContractViolation& violation) {
+    EXPECT_NE(std::string(violation.what()).find("argument 2 ('abc')"),
+              std::string::npos)
+        << violation.what();
+  }
+  EXPECT_EQ(from_descriptor("grid:4:1").node_count(), 4u);
+  EXPECT_EQ(from_descriptor("gnp:50:0.1:3").node_count(), 50u);
 }
 
 // G(n, p) keeps one coin per pair in lexicographic order and stitches the

@@ -4,16 +4,19 @@
 // and the full trace, on every backend, with and without collision
 // detection, under edge loss, crash/restart and jam faults, on random,
 // sparse multi-word and every connected graph of up to five nodes.  Also
-// pinned here: silent rounds on the population path poll and allocate
-// nothing, sweep output is byte-identical at any thread count, and both
-// implementations are anonymous — a run on a node-permuted network with
-// permuted labels is the permuted run.
+// pinned here: the dispatch cost model (on fault-free runs every poll
+// transmits), the listening mask (a masked counters run is the full run),
+// silent rounds on the population path poll and allocate nothing, sweep
+// output is byte-identical at any thread count, and both implementations
+// are anonymous — a run on a node-permuted network with permuted labels is
+// the permuted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -92,10 +95,11 @@ enum class Impl { kPopulation, kProtocols };
 
 /// `run_with_plan`'s engine path with the implementation chosen
 /// explicitly: the scheme's flat population or its per-node protocols,
-/// under `config.dispatch` either way.
-SchemeResult run_engine(const Scheme& scheme, const Graph& g, NodeId source,
-                        const PlanPtr& plan, const SchemeOptions& opt,
-                        const ExecutionConfig& config, Impl impl) {
+/// under `config.dispatch` either way.  `inspect` sees the finished engine.
+SchemeResult run_engine(
+    const Scheme& scheme, const Graph& g, NodeId source, const PlanPtr& plan,
+    const SchemeOptions& opt, const ExecutionConfig& config, Impl impl,
+    const std::function<void(const sim::Engine&)>& inspect = {}) {
   std::unique_ptr<sim::Population> population;
   if (impl == Impl::kPopulation) {
     population = scheme.make_population(g, source, *plan, opt);
@@ -119,6 +123,7 @@ SchemeResult run_engine(const Scheme& scheme, const Graph& g, NodeId source,
   out.polls = engine.polls_total();
   out.all_informed = engine.all_informed();
   scheme.collect(engine, g, source, *plan, opt, config, out);
+  if (inspect) inspect(engine);
   if (config.trace == sim::TraceLevel::kFull) out.trace = engine.take_trace();
   return out;
 }
@@ -389,6 +394,203 @@ TEST(PopulationDifferential, MatchesProtocolsOnEveryGraphUpToFiveNodes) {
     });
     EXPECT_EQ(count, graph::connected_graph_count(n));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The dispatch cost model: a node is woken only where its label acts, so on
+// fault-free runs every poll transmits — on the population and on the
+// per-node reference alike.
+
+void expect_polls_transmit(const Scheme& scheme, const Graph& g,
+                           NodeId source, const SchemeOptions& opt,
+                           const PlanPtr& plan, ExecutionConfig config,
+                           const std::string& what) {
+  config.dispatch = sim::DispatchKind::kActiveSet;
+  for (const Impl impl : {Impl::kPopulation, Impl::kProtocols}) {
+    const auto r = run_engine(scheme, g, source, plan, opt, config, impl);
+    EXPECT_TRUE(r.ok) << what;
+    EXPECT_EQ(r.polls, r.tx_total)
+        << what << (impl == Impl::kPopulation ? " population" : " protocols");
+  }
+}
+
+TEST(PopulationCostModel, EveryPollTransmitsOnRandomGraphs) {
+  const auto graphs = random_graphs(12, 0xC057);
+  Rng rng(0xC057);
+  for (const char* name : kSchemes) {
+    const Scheme& scheme = scheme_named(name);
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const Graph& g = graphs[gi];
+      const auto source = static_cast<NodeId>(rng.below(g.node_count()));
+      SchemeOptions opt;
+      opt.coordinator = static_cast<NodeId>(rng.below(g.node_count()));
+      const PlanPtr plan = scheme.label(g, source, opt);
+      for (const Variant& v : kAllBackends) {
+        for (const bool cd : {false, true}) {
+          ExecutionConfig config;
+          config.backend = v.backend;
+          config.collision_detection = cd;
+          expect_polls_transmit(scheme, g, source, opt, plan, config,
+                                std::string(name) + " graph#" +
+                                    std::to_string(gi) + " " + g.summary() +
+                                    " " + v.tag + (cd ? " +cd" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(PopulationCostModel, EveryPollTransmitsOnSparseMultiWordGraphs) {
+  const auto graphs = sparse_multiword_graphs(4, 0xC058);
+  for (const char* name : kSchemes) {
+    const Scheme& scheme = scheme_named(name);
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const Graph& g = graphs[gi];
+      const NodeId source = g.node_count() / 3;
+      SchemeOptions opt;
+      opt.coordinator = g.node_count() - 1;
+      const PlanPtr plan = scheme.label(g, source, opt);
+      for (const Variant& v : kAllBackends) {
+        for (const bool cd : {false, true}) {
+          ExecutionConfig config;
+          config.backend = v.backend;
+          config.collision_detection = cd;
+          expect_polls_transmit(scheme, g, source, opt, plan, config,
+                                std::string(name) + " multiword#" +
+                                    std::to_string(gi) + " " + g.summary() +
+                                    " " + v.tag + (cd ? " +cd" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(PopulationCostModel, EveryPollTransmitsOnEveryGraphUpToFiveNodes) {
+  for (std::uint32_t n = 2; n <= 5; ++n) {
+    std::size_t count = 0;
+    graph::for_each_connected_graph(n, [&](const Graph& g) {
+      ++count;
+      for (const char* name : kSchemes) {
+        const Scheme& scheme = scheme_named(name);
+        for (NodeId source = 0; source < n; ++source) {
+          SchemeOptions opt;
+          opt.coordinator = (source + 1) % n;
+          const PlanPtr plan = scheme.label(g, source, opt);
+          for (const Variant& v : kAllBackends) {
+            for (const bool cd : {false, true}) {
+              ExecutionConfig config;
+              config.backend = v.backend;
+              config.collision_detection = cd;
+              expect_polls_transmit(
+                  scheme, g, source, opt, plan, config,
+                  std::string(name) + " " + std::to_string(n) + "-node#" +
+                      std::to_string(count) + " source " +
+                      std::to_string(source) + " " + v.tag +
+                      (cd ? " +cd" : ""));
+            }
+          }
+        }
+      }
+    });
+    EXPECT_EQ(count, graph::connected_graph_count(n));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The listening mask: a counters run on the active set resolves rounds for
+// the population's listening nodes only, a full-trace run for every node.
+// The two must agree on everything but the receptions the mask withheld.
+
+struct NodeTotals {
+  std::vector<std::uint64_t> first_data;
+  std::vector<std::uint64_t> tx_count;
+  std::uint64_t rx_total = 0;
+};
+
+SchemeResult run_recording(const Scheme& scheme, const Graph& g,
+                           NodeId source, const SchemeOptions& opt,
+                           const PlanPtr& plan, const ExecutionConfig& config,
+                           NodeTotals& totals) {
+  return run_engine(scheme, g, source, plan, opt, config, Impl::kPopulation,
+                    [&](const sim::Engine& e) {
+                      for (NodeId v = 0; v < g.node_count(); ++v) {
+                        totals.first_data.push_back(e.first_data_reception(v));
+                        totals.tx_count.push_back(e.tx_count(v));
+                        totals.rx_total += e.rx_count(v);
+                      }
+                    });
+}
+
+/// Returns how many receptions the mask withheld.
+std::uint64_t expect_masked_run_is_full_run(const Scheme& scheme,
+                                            const Graph& g, NodeId source,
+                                            const SchemeOptions& opt,
+                                            ExecutionConfig config,
+                                            const std::string& what) {
+  const PlanPtr plan = scheme.label(g, source, opt);
+  config.dispatch = sim::DispatchKind::kActiveSet;
+  NodeTotals masked, full;
+  config.trace = sim::TraceLevel::kCounters;
+  const auto a = run_recording(scheme, g, source, opt, plan, config, masked);
+  config.trace = sim::TraceLevel::kFull;
+  auto b = run_recording(scheme, g, source, opt, plan, config, full);
+  // B's stay and µ counts are read off the trace, which only the full run
+  // records.
+  b.trace = {};
+  b.stay_count = b.data_tx_count = 0;
+  EXPECT_TRUE(a.ok) << what;
+  expect_same_run(a, b, what, /*same_dispatch=*/true);
+  EXPECT_EQ(masked.first_data, full.first_data) << what;
+  EXPECT_EQ(masked.tx_count, full.tx_count) << what;
+  EXPECT_LE(masked.rx_total, full.rx_total) << what;
+  return full.rx_total - std::min(masked.rx_total, full.rx_total);
+}
+
+TEST(PopulationListening, MaskedRunMatchesFullRun) {
+  std::vector<Graph> graphs = random_graphs(8, 0x1157);
+  Rng rng(0x1157);
+  // Dense graphs inside kAuto's bit region, where a delivery costs a word
+  // scan per transmitter.
+  for (const std::uint32_t n : {96u, 200u, 320u}) {
+    graphs.push_back(graph::gnp_connected(n, 0.15, rng));
+    EXPECT_TRUE(graph::is_bit_dense(graphs.back())) << n;
+  }
+  for (auto& g : sparse_multiword_graphs(3, 0x1157)) {
+    graphs.push_back(std::move(g));
+  }
+  std::uint64_t withheld = 0;
+  for (const char* name : kSchemes) {
+    const Scheme& scheme = scheme_named(name);
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const Graph& g = graphs[gi];
+      const auto source = static_cast<NodeId>(rng.below(g.node_count()));
+      // B_arb: the source apart from the coordinator, then the source as
+      // the coordinator (the timer corner case).
+      std::vector<NodeId> coordinators = {
+          static_cast<NodeId>((source + 1 + rng.below(g.node_count() - 1)) %
+                              g.node_count())};
+      if (std::string(name) == "arb") coordinators.push_back(source);
+      for (const NodeId coordinator : coordinators) {
+        SchemeOptions opt;
+        opt.coordinator = coordinator;
+        for (const Variant& v : kAllBackends) {
+          for (const bool cd : {false, true}) {
+            ExecutionConfig config;
+            config.backend = v.backend;
+            config.collision_detection = cd;
+            withheld += expect_masked_run_is_full_run(
+                scheme, g, source, opt, config,
+                std::string(name) + " graph#" + std::to_string(gi) + " " +
+                    g.summary() + " coordinator " +
+                    std::to_string(coordinator) + " " + v.tag +
+                    (cd ? " +cd" : ""));
+          }
+        }
+      }
+    }
+  }
+  // The mask is in force on the counters runs.
+  EXPECT_GT(withheld, 0u);
 }
 
 // ---------------------------------------------------------------------------

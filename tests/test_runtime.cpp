@@ -538,10 +538,11 @@ TEST(SweepRunner, ConcurrentBatchesMatchSerialRunsAndBuildEachKeyOnce) {
 // One compiled-or-engine decision: a sweep must answer what run_scheme
 // answers when the compiled path does not apply.  A faulted compiled b spec
 // must run the engine under its faults (not replay the fault-free
-// schedule), and a compiled resilient ack spec, whose compile the scheme
-// declines, must run the engine instead of failing the batch.  Each batch
-// holds two copies of the spec (an owner and a sharer of one key) and runs
-// twice (cold, then warm), at 1 and 4 workers, with and without a store.
+// schedule), and a compiled resilient ack spec, which the scheme does not
+// compile, must run the engine instead of failing the batch — and neither
+// may touch the compiled cache.  Each batch holds two copies of the spec
+// (an owner and a sharer of one key) and runs twice (cold, then warm), at
+// 1 and 4 workers, with and without a store.
 TEST(SweepRunner, FaultedAndDeclinedCompilesAnswerLikeRunScheme) {
   struct Case {
     const char* scheme;
@@ -603,8 +604,11 @@ TEST(SweepRunner, FaultedAndDeclinedCompilesAnswerLikeRunScheme) {
                 << what;
           }
         }
-        // Neither spec takes the compiled path, so nothing is cached.
+        // Neither spec takes the compiled path, so nothing is compiled,
+        // cached or counted.
         EXPECT_EQ(runner.cache().compiled_count(), 0u);
+        EXPECT_EQ(runner.cache_stats().compiled_hits, 0u) << context;
+        EXPECT_EQ(runner.cache_stats().compiled_misses, 0u) << context;
       }
     }
   }

@@ -10,8 +10,9 @@
 //    batch fails only its own client (TSan runs this suite via its
 //    labels);
 //  - the binary result encoding matches the JSON results field for field;
-//  - error frames carry stable machine-readable codes, and the compact
-//    control frame GCs the plan store;
+//  - error frames carry stable machine-readable codes (a malformed
+//    generator descriptor fails only its batch), and the compact control
+//    frame GCs the plan store;
 //  - shutdown drains cleanly, and a restarted server over the same plan
 //    store answers its first batch with zero labeling constructions.
 #include <gtest/gtest.h>
@@ -421,6 +422,37 @@ TEST(Serve, BadBatchFailsOnlyItsOwnClient) {
   }
   EXPECT_EQ(server.stats().errors, 1u);
   EXPECT_EQ(server.stats().batches, kGoodClients * 5u + 2u);
+}
+
+// A generator descriptor off the wire that does not parse fails its batch
+// with run_failed; the daemon and the connection stay up for the next one.
+TEST(Serve, MalformedDescriptorFailsOnlyItsBatch) {
+  par::ThreadPool pool(2);
+  runtime::SweepRunner runner(pool);
+  Server server(runner, ServerOptions{});
+  server.start();
+  Client client;
+  ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
+
+  for (const char* descriptor :
+       {"gnp:100:abc:1", "path:99999999999999999999999", "gnp:50:1e999:3",
+        "grid:4294967298:1"}) {
+    runtime::ExperimentSpec bad;
+    bad.scheme = "b";
+    bad.graph.generator = descriptor;
+    const auto failed = client.run_batch({bad});
+    EXPECT_FALSE(failed.ok) << descriptor;
+    EXPECT_EQ(failed.code, "run_failed") << descriptor;
+
+    runtime::ExperimentSpec good;
+    good.scheme = "b";
+    good.graph.generator = "grid:3:4";
+    const auto served = client.run_batch({good});
+    ASSERT_TRUE(served.ok) << descriptor << ": " << served.error;
+    ASSERT_EQ(served.results.size(), 1u);
+    EXPECT_TRUE(served.results[0].ok) << descriptor;
+  }
+  EXPECT_EQ(server.stats().errors, 4u);
 }
 
 // "encoding":"binary" answers the same outcomes as the JSON path, field
