@@ -6,8 +6,8 @@
 #include <algorithm>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -28,25 +28,22 @@ void run(Context& ctx) {
           const std::uint32_t stride = std::max(1u, s.n / 8);
           s.wall_ns = time_ns([&] {
             for (graph::NodeId src = 0; src < s.n; src += stride) {
-              core::RunOptions opt;
-              opt.backend = ctx.backend();
-              opt.dispatch = ctx.dispatch();
               const auto run =
-                  core::run_arbitrary(w.graph, src, /*coordinator=*/0, opt);
+                  runtime::run_scheme("arb", w.graph, src, {}, ctx.exec());
               ++sources;
               if (!run.ok) ++failures;
               T = run.T;
-              t_min = std::min(t_min, run.total_rounds);
-              t_max = std::max(t_max, run.total_rounds);
+              t_min = std::min(t_min, run.rounds);
+              t_max = std::max(t_max, run.rounds);
               // The compiled §4 prediction must reproduce the engine run.
-              core::ArbRun compiled;
+              runtime::ExecutionConfig cfg = ctx.exec();
+              cfg.compiled = true;
+              runtime::SchemeResult compiled;
               compiled_ns += time_ns([&] {
-                compiled =
-                    core::run_arb_compiled(w.graph, src, /*coordinator=*/0,
-                                           opt);
+                compiled = runtime::run_scheme("arb", w.graph, src, {}, cfg);
               });
               if (compiled.ok != run.ok ||
-                  compiled.total_rounds != run.total_rounds ||
+                  compiled.rounds != run.rounds ||
                   compiled.done_round != run.done_round ||
                   compiled.T != run.T) {
                 ++compiled_mismatch;

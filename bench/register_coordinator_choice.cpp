@@ -4,9 +4,9 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "graph/traversal.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -21,7 +21,7 @@ void run(Context& ctx) {
           s.family = w.family;
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::ArbRun run_c, run_p, run_d;
+          runtime::SchemeResult run_c, run_p, run_d;
           s.wall_ns = time_ns([&] {
             graph::NodeId central = 0, peripheral = 0;
             std::uint32_t best = ~0u, worst = 0;
@@ -36,18 +36,18 @@ void run(Context& ctx) {
                 peripheral = v;
               }
             }
-            core::RunOptions opt;
-            opt.backend = ctx.backend();
-            opt.dispatch = ctx.dispatch();
-            run_c = core::run_arbitrary(w.graph, w.source, central, opt);
-            run_p = core::run_arbitrary(w.graph, w.source, peripheral, opt);
-            run_d = core::run_arbitrary(w.graph, w.source, 0, opt);
+            run_c = runtime::run_scheme("arb", w.graph, w.source,
+                                        {.coordinator = central}, ctx.exec());
+            run_p = runtime::run_scheme("arb", w.graph, w.source,
+                                        {.coordinator = peripheral},
+                                        ctx.exec());
+            run_d =
+                runtime::run_scheme("arb", w.graph, w.source, {}, ctx.exec());
           });
-          s.rounds = run_d.total_rounds;
+          s.rounds = run_d.rounds;
           s.ok = run_c.ok && run_p.ok && run_d.ok;
-          s.extra = {
-              {"rounds_central", static_cast<double>(run_c.total_rounds)},
-              {"rounds_peripheral", static_cast<double>(run_p.total_rounds)}};
+          s.extra = {{"rounds_central", static_cast<double>(run_c.rounds)},
+                     {"rounds_peripheral", static_cast<double>(run_p.rounds)}};
           return s;
         });
     for (auto& s : samples) ctx.record(std::move(s));

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/engine.hpp"

@@ -4,8 +4,8 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -25,15 +25,13 @@ void run(Context& ctx) {
           s.family = w.family + "/" + core::to_string(policy);
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::BroadcastRun run;
+          runtime::SchemeResult run;
           s.wall_ns = time_ns([&] {
-            core::RunOptions opt;
-            opt.policy = policy;
-            opt.seed = 31337;
-            opt.trace = sim::TraceLevel::kFull;
-            opt.backend = ctx.backend();
-            opt.dispatch = ctx.dispatch();
-            run = core::run_broadcast(w.graph, w.source, opt);
+            runtime::ExecutionConfig config = ctx.exec();
+            config.trace = sim::TraceLevel::kFull;
+            run = runtime::run_scheme("b", w.graph, w.source,
+                                      {.policy = policy, .seed = 31337},
+                                      config);
           });
           s.rounds = run.completion_round;
           s.transmissions = run.data_tx_count + run.stay_count;

@@ -15,8 +15,8 @@
 #include <string>
 
 #include "core/compiled_schedule.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -67,22 +67,22 @@ void broadcast_family(Context& ctx, const std::string& family,
                       const graph::Graph& g) {
   struct Variant {
     const char* name;
-    core::BroadcastRun run;
+    runtime::SchemeResult run;
     std::uint64_t wall_ns = 0;
   };
   Variant variants[3] = {
       {"scalar", {}, 0}, {"bit", {}, 0}, {"compiled", {}, 0}};
 
-  core::RunOptions opt;
-  opt.backend = sim::BackendKind::kScalar;
-  variants[0].wall_ns =
-      time_ns([&] { variants[0].run = core::run_broadcast(g, 0, opt); });
-  opt.backend = sim::BackendKind::kBit;
-  variants[1].wall_ns =
-      time_ns([&] { variants[1].run = core::run_broadcast(g, 0, opt); });
-  opt.backend = ctx.backend();
-  variants[2].wall_ns = time_ns(
-      [&] { variants[2].run = core::run_broadcast_compiled(g, 0, opt); });
+  runtime::ExecutionConfig configs[3];
+  configs[0].backend = sim::BackendKind::kScalar;
+  configs[1].backend = sim::BackendKind::kBit;
+  configs[2].backend = ctx.backend();
+  configs[2].compiled = true;
+  for (int k = 0; k < 3; ++k) {
+    variants[k].wall_ns = time_ns([&] {
+      variants[k].run = runtime::run_scheme("b", g, 0, {}, configs[k]);
+    });
+  }
 
   const auto& ref = variants[0].run;
   bool agree = ref.all_informed;

@@ -5,7 +5,7 @@
 //    runs (never materializes more than O(m)); ok iff connected-sized CSR.
 //  - mega/label: label_broadcast; ok iff its stage sets validate.
 //  - mega/color: square_coloring; ok iff the coloring is distance-2 proper.
-//  - mega/broadcast: run_broadcast under kAuto (the scalar walk past the
+//  - mega/broadcast: scheme "b" under kAuto (the scalar walk past the
 //    bitmap cap); ok iff all informed within the 2n-3 bound.
 // Wall budgets are per-node linear envelopes (~5x a 1-core measurement), so
 // the scenario is a completes-within-budget gate at any ladder size.
@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "core/labeling.hpp"
-#include "core/runner.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::bench {
@@ -96,15 +96,13 @@ void run(Context& ctx) {
 
     // --- mega/broadcast: end-to-end under kAuto (scalar at this scale) --
     {
-      core::BroadcastRun run;
-      core::RunOptions opt;
-      opt.backend = ctx.backend();
-      opt.dispatch = ctx.dispatch();
+      runtime::SchemeResult run;
       Sample s;
       s.family = "mega/broadcast";
       s.n = n;
       s.m = g.edge_count();
-      s.wall_ns = time_ns([&] { run = core::run_broadcast(g, 0, opt); });
+      s.wall_ns = time_ns(
+          [&] { run = runtime::run_scheme("b", g, 0, {}, ctx.exec()); });
       s.rounds = run.completion_round;
       s.transmissions = run.data_tx_count + run.stay_count;
       s.ok = run.all_informed && run.completion_round <= run.bound &&

@@ -5,8 +5,9 @@
 #include <algorithm>
 
 #include "analysis/metrics.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 
 namespace radiocast::bench {
@@ -22,7 +23,7 @@ void run(Context& ctx) {
 
     std::uint32_t b_bits = 0, ack_bits = 0, log_bound = 0;
     std::uint64_t transmissions = 0;
-    core::AckRun ack;
+    runtime::SchemeResult ack;
     std::uint64_t completion = 0;
     s.wall_ns = time_ns([&] {
       // Algorithm B: walk the full trace and charge every message.
@@ -39,10 +40,7 @@ void run(Context& ctx) {
         }
       }
 
-      core::RunOptions ack_opt;
-      ack_opt.backend = ctx.backend();
-      ack_opt.dispatch = ctx.dispatch();
-      ack = core::run_acknowledged(g, 0, ack_opt);
+      ack = runtime::run_scheme("ack", g, 0, {}, ctx.exec());
       const sim::Message worst{sim::MsgKind::kAck, 0, 0, ack.max_stamp};
       ack_bits = analysis::control_bits(worst, false);
 

@@ -4,8 +4,8 @@
 #include "harness.hpp"
 
 #include "analysis/experiments.hpp"
-#include "core/multi.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 
 namespace radiocast::bench {
 namespace {
@@ -21,15 +21,15 @@ void run(Context& ctx) {
           s.family = w.family;
           s.n = w.graph.node_count();
           s.m = w.graph.edge_count();
-          core::MultiRun run;
+          runtime::SchemeResult run;
           s.wall_ns = time_ns([&] {
-            std::vector<std::uint32_t> payloads(kMessages);
+            runtime::SchemeOptions opt;
+            opt.payloads.resize(kMessages);
             for (std::size_t k = 0; k < kMessages; ++k) {
-              payloads[k] = static_cast<std::uint32_t>(k + 1);
+              opt.payloads[k] = static_cast<std::uint32_t>(k + 1);
             }
-            run = core::run_multi_broadcast(w.graph, w.source, payloads,
-                                            core::DomPolicy::kAscendingId,
-                                            ctx.backend(), ctx.dispatch());
+            run = runtime::run_scheme("multi", w.graph, w.source, opt,
+                                      ctx.exec());
           });
           bool periodic = run.ok;
           for (std::size_t k = 1; k < run.ack_rounds.size(); ++k) {
@@ -38,7 +38,7 @@ void run(Context& ctx) {
               periodic = false;
             }
           }
-          s.rounds = run.total_rounds;
+          s.rounds = run.rounds;
           s.ok = run.ok && periodic;
           s.extra = {
               {"messages", static_cast<double>(kMessages)},

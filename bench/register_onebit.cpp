@@ -8,8 +8,8 @@
 
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
-#include "onebit/runner.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::bench {
@@ -72,17 +72,12 @@ void run(Context& ctx) {
         s.family = c.name;
         s.n = c.g.node_count();
         s.m = c.g.edge_count();
-        onebit::OneBitRun run, ack;
+        runtime::SchemeResult run, ack;
         s.wall_ns = time_ns([&] {
-          run = onebit::run_onebit(c.g, c.source,
-                                   {.max_attempts = 256,
-                                    .engine_backend = ctx.backend(),
-                                    .engine_dispatch = ctx.dispatch()});
-          ack = onebit::run_onebit_acknowledged(
-              c.g, c.source,
-              {.max_attempts = 256,
-               .engine_backend = ctx.backend(),
-               .engine_dispatch = ctx.dispatch()});
+          run = runtime::run_scheme("onebit", c.g, c.source,
+                                    {.max_attempts = 256}, ctx.exec());
+          ack = runtime::run_scheme("onebit-ack", c.g, c.source,
+                                    {.max_attempts = 256}, ctx.exec());
         });
         s.rounds = run.completion_round;
         s.ok = run.ok && ack.ok;

@@ -6,10 +6,11 @@
 #include <algorithm>
 #include <memory>
 
+#include "core/arb.hpp"
 #include "core/labeling.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/engine.hpp"
 #include "sim/simd.hpp"
@@ -309,11 +310,11 @@ void run(Context& ctx) {
     s.n = n;
     std::uint64_t total_rounds = 0;
     s.wall_ns = time_ns([&] {
-      core::RunOptions run_opt;
-      run_opt.backend = ctx.backend();
+      const runtime::ExecutionConfig cfg{.backend = ctx.backend()};
       const auto rounds =
           par::parallel_map(ctx.pool(), graphs.size(), [&](std::size_t i) {
-            return core::run_broadcast(graphs[i], 0, run_opt).completion_round;
+            const auto run = runtime::run_scheme("b", graphs[i], 0, {}, cfg);
+            return run.completion_round;
           });
       for (const auto r : rounds) total_rounds += r;
     });

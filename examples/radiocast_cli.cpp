@@ -2,7 +2,7 @@
 //
 //   radiocast_cli gen <family> [args...]          emit an edge list
 //   radiocast_cli label  [--source N] [--scheme b|ack|arb] < edges
-//   radiocast_cli run    [--source N] [--scheme b|ack|arb|onebit] < edges
+//   radiocast_cli run    [--source N] [--scheme NAME] < edges  any scheme
 //   radiocast_cli verify [--source N] < edges     run B + Lemma 2.8 check
 //   radiocast_cli dot    [--source N] < edges     Graphviz with labels
 //   radiocast_cli sweep  [--suite standard|quick] [--n N] [--schemes ...]
@@ -25,12 +25,11 @@
 #include <string>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
-#include "core/verifier.hpp"
+#include "core/labeling.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/traversal.hpp"
-#include "onebit/runner.hpp"
+#include "onebit/labeler.hpp"
 #include "runtime/flags.hpp"
 #include "runtime/scheme.hpp"
 #include "runtime/sweep.hpp"
@@ -46,7 +45,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: radiocast_cli gen <family> [args...]\n"
                "       radiocast_cli {label|run|verify|dot} [--source N] "
-               "[--scheme b|ack|arb|onebit]\n"
+               "[--scheme NAME]\n"
                "                     [--backend auto|scalar|bit|compiled]\n"
                "                     [--dispatch auto|scan|active] "
                "< edge-list\n"
@@ -56,7 +55,9 @@ int usage() {
                "[--backend ...] [--dispatch ...]\n"
                "                     [--threads N] [--store DIR] "
                "[--store-gc-bytes B] [--faults ...]\n"
-               "       (--backend compiled replays the label-determined "
+               "       (run takes any registered scheme, label "
+               "b|ack|arb|onebit;\n"
+               "        --backend compiled replays the label-determined "
                "schedule; run --scheme b|ack|arb;\n"
                "        --dispatch picks the protocol-dispatch strategy "
                "[auto = active-set when hinted];\n"
@@ -195,57 +196,41 @@ int cmd_label(const graph::Graph& g, const Options& opt) {
 }
 
 int cmd_run(const graph::Graph& g, const Options& opt) {
-  if (opt.exec.faults.enabled() || opt.resilient) {
-    // Faulted / resilient runs go through the scheme registry: the legacy
-    // core::run_* wrappers predate ExecutionConfig's fault plan, and
-    // compiled replays model only the fault-free schedule.
-    if (opt.exec.compiled) {
-      std::fprintf(stderr,
-                   "--backend compiled replays the fault-free schedule; "
-                   "--faults/--resilient need the engine\n");
-      return 2;
+  auto& registry = runtime::SchemeRegistry::instance();
+  const auto* scheme = registry.find(opt.scheme);
+  if (scheme == nullptr) {
+    std::fprintf(stderr, "unknown scheme '%s'; registered:",
+                 opt.scheme.c_str());
+    for (const auto* s : registry.schemes()) {
+      std::fprintf(stderr, " %s", std::string(s->name()).c_str());
     }
-    const auto* scheme = runtime::SchemeRegistry::instance().find(opt.scheme);
-    if (scheme == nullptr) {
-      std::fprintf(stderr, "unknown registry scheme '%s' for a faulted run\n",
-                   opt.scheme.c_str());
-      return 2;
-    }
-    runtime::SchemeOptions sopt;
-    sopt.resilient = opt.resilient;
-    runtime::ExecutionConfig exec = opt.exec;
-    if (exec.max_rounds == 0) {
-      // Retries stretch past the fault-free theorem bound; give faulted
-      // runs a generous linear budget instead of the scheme default.
-      exec.max_rounds = 64 * std::max<std::uint64_t>(g.node_count(), 16);
-    }
-    const auto plan = scheme->label(g, opt.source, sopt);
-    const auto run =
-        runtime::run_with_plan(*scheme, g, opt.source, plan, sopt, exec);
-    const std::string faults = sim::format_fault_plan(opt.exec.faults);
-    std::printf("scheme=%s faults=[%s]%s ok=%s informed=%s rounds=%llu "
-                "completion=%llu\n",
-                opt.scheme.c_str(), faults.c_str(),
-                opt.resilient ? " resilient" : "", run.ok ? "yes" : "NO",
-                run.all_informed ? "all" : "NOT-ALL",
-                static_cast<unsigned long long>(run.rounds),
-                static_cast<unsigned long long>(run.completion_round));
-    return run.ok ? 0 : 1;
+    std::fprintf(stderr, "\n");
+    return 2;
   }
-  if (opt.exec.compiled && opt.scheme == "onebit") {
+  const bool faulted = opt.exec.faults.enabled() || opt.resilient;
+  if (opt.exec.compiled && faulted) {
+    std::fprintf(stderr,
+                 "--backend compiled replays the fault-free schedule; "
+                 "--faults/--resilient need the engine\n");
+    return 2;
+  }
+  if (opt.exec.compiled && !scheme->can_compile()) {
     std::fprintf(stderr,
                  "--backend compiled requires --scheme b, ack, or arb (the "
                  "compiled schedules replay the label-determined "
                  "algorithms)\n");
     return 2;
   }
-  core::RunOptions run_opt;
-  run_opt.backend = opt.exec.backend;
-  run_opt.dispatch = opt.exec.dispatch;
-  if (opt.scheme == "b") {
-    const auto run = opt.exec.compiled
-                         ? core::run_broadcast_compiled(g, opt.source, run_opt)
-                         : core::run_broadcast(g, opt.source, run_opt);
+  runtime::SchemeOptions sopt;
+  sopt.resilient = opt.resilient;
+  runtime::ExecutionConfig exec = opt.exec;
+  if (faulted && exec.max_rounds == 0) {
+    // Retries stretch past the fault-free theorem bound; give faulted
+    // runs a generous linear budget instead of the scheme default.
+    exec.max_rounds = 64 * std::max<std::uint64_t>(g.node_count(), 16);
+  }
+  const auto run = runtime::run_scheme(*scheme, g, opt.source, sopt, exec);
+  if (!faulted && opt.scheme == "b") {
     std::printf("scheme=lambda(2-bit) backend=%s n=%u informed=%s rounds=%llu "
                 "bound=%llu ell=%u\n",
                 backend_display(opt), g.node_count(),
@@ -254,41 +239,42 @@ int cmd_run(const graph::Graph& g, const Options& opt) {
                 static_cast<unsigned long long>(run.bound), run.ell);
     return run.all_informed ? 0 : 1;
   }
-  if (opt.scheme == "ack") {
-    const auto run =
-        opt.exec.compiled
-            ? core::run_acknowledged_compiled(g, opt.source, run_opt)
-            : core::run_acknowledged(g, opt.source, run_opt);
+  if (!faulted && opt.scheme == "ack") {
     std::printf("scheme=lambda_ack(3-bit) informed=%s t=%llu t'=%llu z=%u\n",
                 run.all_informed ? "all" : "NOT-ALL",
                 static_cast<unsigned long long>(run.completion_round),
-                static_cast<unsigned long long>(run.ack_round), run.z);
+                static_cast<unsigned long long>(run.ack_round), run.special);
     return run.all_informed && run.ack_round != 0 ? 0 : 1;
   }
-  if (opt.scheme == "arb") {
-    const auto run = opt.exec.compiled
-                         ? core::run_arb_compiled(g, opt.source, 0, run_opt)
-                         : core::run_arbitrary(g, opt.source, 0, run_opt);
+  if (!faulted && opt.scheme == "arb") {
     std::printf("scheme=lambda_arb(3-bit) ok=%s total_rounds=%llu "
                 "common_done=%llu T=%llu\n",
                 run.ok ? "yes" : "NO",
-                static_cast<unsigned long long>(run.total_rounds),
+                static_cast<unsigned long long>(run.rounds),
                 static_cast<unsigned long long>(run.done_round),
                 static_cast<unsigned long long>(run.T));
     return run.ok ? 0 : 1;
   }
-  if (opt.scheme == "onebit") {
-    const auto run =
-        onebit::run_onebit(g, opt.source,
-                           {.engine_backend = run_opt.backend,
-                            .engine_dispatch = run_opt.dispatch});
+  if (!faulted && opt.scheme == "onebit") {
     std::printf("scheme=onebit ok=%s rounds=%llu ones=%u attempts=%u\n",
                 run.ok ? "yes" : "NO",
                 static_cast<unsigned long long>(run.completion_round),
                 run.ones, run.attempts);
     return run.ok ? 0 : 1;
   }
-  return usage();
+  // Every other run, and every faulted or resilient one, prints the
+  // scheme-generic line.
+  std::string setting;
+  if (faulted) {
+    setting = " faults=[" + sim::format_fault_plan(opt.exec.faults) + "]";
+    if (opt.resilient) setting += " resilient";
+  }
+  std::printf("scheme=%s%s ok=%s informed=%s rounds=%llu completion=%llu\n",
+              opt.scheme.c_str(), setting.c_str(), run.ok ? "yes" : "NO",
+              run.all_informed ? "all" : "NOT-ALL",
+              static_cast<unsigned long long>(run.rounds),
+              static_cast<unsigned long long>(run.completion_round));
+  return run.ok ? 0 : 1;
 }
 
 int cmd_verify(const graph::Graph& g, const Options& opt) {

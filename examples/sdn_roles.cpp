@@ -7,8 +7,9 @@
 // time with a network-wide agreed completion round (acknowledged broadcast).
 #include <cstdio>
 
-#include "core/runner.hpp"
+#include "core/labeling.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 int main() {
@@ -32,13 +33,14 @@ int main() {
               distinct);
 
   for (const graph::NodeId alarm_origin : {7u, 19u, controller_choice}) {
-    const auto run = core::run_arbitrary(fabric, alarm_origin,
-                                         controller_choice, {.mu = 0xA1A7});
+    const auto run = runtime::run_scheme(
+        "arb", fabric, alarm_origin,
+        {.mu = 0xA1A7, .coordinator = controller_choice});
     std::printf("alert from switch %2u: delivered=%s, agreed completion round "
                 "%llu, total rounds %llu (phase-1 span T=%llu)\n",
                 alarm_origin, run.ok ? "yes" : "NO",
                 static_cast<unsigned long long>(run.done_round),
-                static_cast<unsigned long long>(run.total_rounds),
+                static_cast<unsigned long long>(run.rounds),
                 static_cast<unsigned long long>(run.T));
     if (!run.ok) return 1;
   }

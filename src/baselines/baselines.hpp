@@ -113,18 +113,4 @@ class DecayProtocol final : public sim::Protocol {
   Rng rng_;
 };
 
-/// Completion statistics for one baseline execution.
-struct BaselineRun {
-  bool all_informed = false;
-  std::uint64_t completion_round = 0;
-  std::uint32_t label_bits = 0;  ///< bits a scheme needs per node
-};
-
-BaselineRun run_round_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu = 42);
-BaselineRun run_color_robin(const graph::Graph& g, NodeId source,
-                            std::uint32_t mu = 42);
-BaselineRun run_decay(const graph::Graph& g, NodeId source, std::uint64_t seed,
-                      std::uint32_t mu = 42);
-
 }  // namespace radiocast::baselines

@@ -72,15 +72,4 @@ class BeepBroadcastProtocol final : public sim::Protocol {
   bool energy_this_round_ = false;
 };
 
-/// Result of an anonymous beep broadcast.
-struct BeepRun {
-  bool ok = false;                 ///< everyone decoded exactly µ
-  std::uint64_t completion_round = 0;
-  std::uint32_t frame_bits = 0;
-};
-
-/// Runs the beep protocol (engine in collision-detection mode).
-BeepRun run_beep(const graph::Graph& g, graph::NodeId source, std::uint32_t mu,
-                 std::uint32_t bits);
-
 }  // namespace radiocast::baselines

@@ -169,4 +169,16 @@ void ArbProtocol::on_hear(const Message& m) {
   }
 }
 
+std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
+    out.push_back(std::make_unique<ArbProtocol>(
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
+  }
+  return out;
+}
+
 }  // namespace radiocast::core

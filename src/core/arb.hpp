@@ -22,7 +22,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/protocols.hpp"
 
@@ -94,5 +96,15 @@ class ArbProtocol final : public sim::Protocol {
   std::uint64_t source_ack_round_ = 0;  // sG: scheduled countdown round
   std::uint64_t done_round_ = 0;
 };
+
+/// Per-node B_arb protocols over λ_arb labels, with µ = `mu` at `source`
+/// (the kScan reference; see make_broadcast_protocols).
+std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
+
+inline std::vector<std::unique_ptr<sim::Protocol>> make_arb_protocols(
+    const ArbLabeling& labeling, NodeId source, std::uint32_t mu) {
+  return make_arb_protocols(labeling.labels, source, mu);
+}
 
 }  // namespace radiocast::core

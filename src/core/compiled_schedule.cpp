@@ -358,7 +358,7 @@ CompiledAckRunner::CompiledAckRunner(const Graph& g,
       backend_(sim::make_engine_backend(g, backend)) {
   const auto n = g.node_count();
   if (max_rounds == 0) {
-    max_rounds = 6 * std::max<std::uint64_t>(n, 2) + 16;  // run_acknowledged
+    max_rounds = 6 * std::max<std::uint64_t>(n, 2) + 16;  // "ack" budget
   }
   if (n <= 1) {
     exec_.offsets.push_back(0);
@@ -470,7 +470,7 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
   const auto n = g.node_count();
   RC_EXPECTS_MSG(n >= 2, "B_arb needs at least two nodes");
   if (max_rounds == 0) {
-    max_rounds = 16 * std::max<std::uint64_t>(n, 2) + 16;  // run_arbitrary
+    max_rounds = 16 * std::max<std::uint64_t>(n, 2) + 16;  // "arb" budget
   }
   const NodeId coord = coordinator;
   prediction_.coordinator = coord;
@@ -640,11 +640,11 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
       }
       hear(w, m, r);
     }
-    if (count_mu == n && count_done == n) break;  // run_arbitrary predicate
+    if (count_mu == n && count_done == n) break;  // the "arb" stop predicate
   }
 
   prediction_.total_rounds = builder.exec.rounds;
-  // Mirror run_arbitrary's verdict loop field for field.
+  // Mirror the "arb" scheme's verdict loop field for field.
   bool ok = true;
   std::uint64_t done = 0;
   for (NodeId v = 0; v < n; ++v) {

@@ -127,8 +127,8 @@ class CompiledScheduleRunner {
   sim::RoundResolution resolution_;
 };
 
-/// Compile-time prediction of the quantities `run_acknowledged` reads off
-/// the engine (Theorem 3.9 observables).
+/// Compile-time prediction of the quantities the "ack" scheme reads off the
+/// engine (Theorem 3.9 observables).
 struct AckPrediction {
   bool all_informed = false;           ///< every protocol informed
   std::uint64_t rounds = 0;            ///< engine rounds executed
@@ -145,7 +145,7 @@ class CompiledAckRunner {
  public:
   /// `labels` is a λ_ack labeling with µ = `mu` at `source`.  `max_rounds`
   /// bounds the prediction exactly like the engine's round budget bounds
-  /// `run_until` (0 = the `run_acknowledged` default, 6n+16).
+  /// `run_until` (0 = the "ack" scheme's default budget, 6n+16).
   CompiledAckRunner(const Graph& g, const std::vector<Label>& labels,
                     NodeId source, std::uint32_t mu,
                     sim::BackendKind backend = sim::BackendKind::kAuto,
@@ -168,7 +168,7 @@ class CompiledAckRunner {
   sim::RoundResolution resolution_;
 };
 
-/// Compile-time prediction of the quantities `run_arbitrary` reads off the
+/// Compile-time prediction of the quantities the "arb" scheme reads off the
 /// engine (§4 observables).
 struct ArbPrediction {
   bool ok = false;                     ///< all nodes learned µ, agree on done

@@ -1,8 +1,5 @@
 #include "core/multi.hpp"
 
-#include "core/labeling.hpp"
-#include "runtime/scheme.hpp"
-#include "sim/engine.hpp"
 #include "support/contracts.hpp"
 
 namespace radiocast::core {
@@ -93,28 +90,6 @@ void MultiMessageProtocol::on_hear(const Message& m) {
   if (!was_informed && core_->informed()) {
     received_.push_back(core_->payload());
   }
-}
-
-MultiRun run_multi_broadcast(const Graph& g, NodeId source,
-                             const std::vector<std::uint32_t>& payloads,
-                             DomPolicy policy, sim::BackendKind backend,
-                             sim::DispatchKind dispatch) {
-  // Thin forwarding wrapper over the "multi" registry scheme.
-  RC_EXPECTS(g.node_count() >= 2);
-  RC_EXPECTS(!payloads.empty());
-  runtime::SchemeOptions scheme_opt;
-  scheme_opt.policy = policy;
-  scheme_opt.payloads = payloads;
-  runtime::ExecutionConfig config;
-  config.backend = backend;
-  config.dispatch = dispatch;
-  const auto r = runtime::run_scheme("multi", g, source, scheme_opt, config);
-  MultiRun out;
-  out.ok = r.ok;
-  out.ack_rounds = r.ack_rounds;
-  out.total_rounds = r.rounds;
-  out.rounds_per_message = r.rounds_per_message;
-  return out;
 }
 
 }  // namespace radiocast::core

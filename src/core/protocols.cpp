@@ -361,4 +361,46 @@ std::uint64_t CommonRoundProtocol::learned_m_stamp() const noexcept {
   return phase2_.is_origin() ? m_value_ : phase2_.informed_stamp();
 }
 
+// ---------------------------------------------------------------------------
+// Per-node protocol factories
+// ---------------------------------------------------------------------------
+
+std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
+    out.push_back(std::make_unique<BroadcastProtocol>(
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
+  }
+  return out;
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu,
+    bool resilient) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
+    out.push_back(std::make_unique<AckBroadcastProtocol>(
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt,
+        resilient));
+  }
+  return out;
+}
+
+std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu) {
+  std::vector<std::unique_ptr<sim::Protocol>> out;
+  out.reserve(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
+    out.push_back(std::make_unique<CommonRoundProtocol>(
+        labels[v],
+        v == source ? std::optional<std::uint32_t>(mu) : std::nullopt));
+  }
+  return out;
+}
+
 }  // namespace radiocast::core

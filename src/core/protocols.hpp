@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -258,5 +259,38 @@ class CommonRoundProtocol final : public sim::Protocol {
   std::uint64_t ack_heard_stamp_ = 0;
   std::uint64_t m_value_ = 0;  // source: round of first ack; others: payload
 };
+
+/// The default engine round budget shared by the schemes and the compiled
+/// fast paths (linear in n with slack; `factor` is per-algorithm).
+inline std::uint64_t default_round_budget(std::uint32_t n,
+                                          std::uint64_t factor) {
+  return factor * std::max<std::uint64_t>(n, 2) + 16;
+}
+
+/// Per-node protocol vectors, one protocol per label with µ = `mu` at
+/// `source`: the kScan reference the schemes run and the differential
+/// suites pin the flat populations against.
+std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
+/// `resilient`: opt into B_ack's loss-tolerant retry mode (see
+/// AckBroadcastProtocol); the default is the paper's exact algorithm.
+std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu,
+    bool resilient = false);
+std::vector<std::unique_ptr<sim::Protocol>> make_common_round_protocols(
+    const std::vector<Label>& labels, NodeId source, std::uint32_t mu);
+
+inline std::vector<std::unique_ptr<sim::Protocol>> make_broadcast_protocols(
+    const Labeling& labeling, std::uint32_t mu) {
+  return make_broadcast_protocols(labeling.labels, labeling.source, mu);
+}
+inline std::vector<std::unique_ptr<sim::Protocol>> make_ack_protocols(
+    const Labeling& labeling, std::uint32_t mu, bool resilient = false) {
+  return make_ack_protocols(labeling.labels, labeling.source, mu, resilient);
+}
+inline std::vector<std::unique_ptr<sim::Protocol>>
+make_common_round_protocols(const Labeling& labeling, std::uint32_t mu) {
+  return make_common_round_protocols(labeling.labels, labeling.source, mu);
+}
 
 }  // namespace radiocast::core

@@ -261,4 +261,48 @@ OneBitResult find_onebit_labeling(const Graph& g, NodeId source,
   return out;
 }
 
+NodeId last_informed_node(const Graph& g, NodeId source,
+                          const std::vector<bool>& bits) {
+  // Replay and remember the last NEW set.
+  std::vector<bool> informed(g.node_count(), false);
+  informed[source] = true;
+  std::vector<NodeId> tx{source};
+  std::vector<NodeId> fresh, last_fresh;
+  std::vector<std::uint32_t> cnt(g.node_count(), 0);
+  std::vector<bool> in_set(g.node_count(), false);
+  const std::uint64_t max_stages = 4ull * g.node_count() + 8;
+  for (std::uint64_t stage = 1; stage <= max_stages; ++stage) {
+    cnt.assign(g.node_count(), 0);
+    for (const auto t : tx) {
+      for (const auto w : g.neighbors(t)) ++cnt[w];
+    }
+    for (const auto t : tx) cnt[t] = 0;
+    fresh.clear();
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (!informed[v] && cnt[v] == 1) fresh.push_back(v);
+    }
+    if (fresh.empty()) break;
+    last_fresh = fresh;
+    for (const auto v : fresh) informed[v] = true;
+    std::vector<NodeId> designators;
+    for (const auto v : fresh) {
+      if (bits[v]) designators.push_back(v);
+    }
+    for (const auto b : designators) in_set[b] = true;
+    std::vector<NodeId> next_tx = designators;
+    for (const auto v : tx) {
+      std::uint32_t c = 0;
+      for (const auto w : g.neighbors(v)) {
+        if (in_set[w]) ++c;
+      }
+      if (c == 1) next_tx.push_back(v);
+    }
+    for (const auto b : designators) in_set[b] = false;
+    std::sort(next_tx.begin(), next_tx.end());
+    tx = std::move(next_tx);
+  }
+  RC_ASSERT_MSG(!last_fresh.empty(), "no node was ever informed");
+  return last_fresh.front();
+}
+
 }  // namespace radiocast::onebit

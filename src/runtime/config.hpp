@@ -1,12 +1,10 @@
 /// \file config.hpp
 /// \brief The one execution-knob block every layer shares.
 ///
-/// Before the runtime layer, the backend/dispatch/thread knobs were
-/// re-declared in `core::RunOptions`, `onebit::OneBitOptions`, the
-/// `run_multi_broadcast` parameter list, and both CLI front ends.
-/// `ExecutionConfig` is the single source of truth: the scheme registry,
-/// the sweep executor, the CLI front ends, and the bench harness all carry
-/// one of these and lower it to `sim::EngineOptions` at the engine boundary.
+/// `ExecutionConfig` is the single source of truth for how a scheme runs:
+/// the scheme registry, the sweep executor, the CLI front ends, and the
+/// bench harness all carry one of these and lower it to
+/// `sim::EngineOptions` at the engine boundary.
 #pragma once
 
 #include <cstddef>

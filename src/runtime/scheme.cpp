@@ -111,15 +111,18 @@ bool takes_compiled_path(const Scheme& scheme, const SchemeOptions& opt,
 SchemeResult run_with_plan(const Scheme& scheme, const Graph& g,
                            NodeId source, const PlanPtr& plan,
                            const SchemeOptions& opt,
-                           const ExecutionConfig& config) {
+                           const ExecutionConfig& config,
+                           const CompiledPlanPtr& compiled) {
   RC_EXPECTS(plan != nullptr);
   RC_EXPECTS(source < g.node_count());
   SchemeResult out;
   if (scheme.run_trivial(g, source, *plan, opt, out)) return out;
 
   if (takes_compiled_path(scheme, opt, config)) {
-    const auto compiled = scheme.compile(g, source, plan, opt, config);
-    return scheme.replay(g, source, *compiled, config);
+    const CompiledPlanPtr entry =
+        compiled != nullptr ? compiled
+                            : scheme.compile(g, source, plan, opt, config);
+    return scheme.replay(g, source, *entry, config);
   }
 
   sim::EngineOptions engine_opt = config.engine_options();

@@ -10,15 +10,14 @@
 
 #include "baselines/baselines.hpp"
 #include "baselines/beep.hpp"
+#include "core/arb.hpp"
 #include "core/compiled_schedule.hpp"
 #include "core/multi.hpp"
 #include "core/population.hpp"
 #include "core/protocols.hpp"
-#include "core/runner.hpp"
 #include "core/verifier.hpp"
 #include "graph/coloring.hpp"
 #include "onebit/labeler.hpp"
-#include "onebit/runner.hpp"
 #include "runtime/scheme.hpp"
 #include "support/bytes.hpp"
 #include "support/contracts.hpp"
@@ -1138,12 +1137,26 @@ class OneBitAckScheme final : public OneBitSchemeBase {
 
 struct EmptyPlan final : Plan {};
 
-void encode_empty_plan(const Plan&, ByteWriter& out) { out.u8(kTagEmpty); }
-
-PlanPtr decode_empty_plan(ByteReader& in) {
-  if (in.u8() != kTagEmpty || !in.ok()) return nullptr;
-  return std::make_shared<EmptyPlan>();
-}
+/// Shared base of the label-free schemes (round-robin, decay, beep): the
+/// plan is empty, so one plan serves every spec on a graph, and its record
+/// is the bare tag.
+class LabelFreeScheme : public Scheme {
+ public:
+  std::string plan_key(NodeId, const SchemeOptions&) const override {
+    return {};
+  }
+  bool can_store_plans() const noexcept override { return true; }
+  void encode_plan(const Plan&, ByteWriter& out) const override {
+    out.u8(kTagEmpty);
+  }
+  PlanPtr decode_plan(ByteReader& in) const override {
+    if (in.u8() != kTagEmpty || !in.ok()) return nullptr;
+    return std::make_shared<EmptyPlan>();
+  }
+  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
+    return std::make_shared<EmptyPlan>();
+  }
+};
 
 struct ColoringPlan final : Plan {
   graph::Coloring coloring;
@@ -1153,26 +1166,13 @@ struct ColoringPlan final : Plan {
   }
 };
 
-class RoundRobinScheme final : public Scheme {
+/// The ids are the node ids, so the plan is empty.
+class RoundRobinScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "round-robin"; }
   std::string_view description() const noexcept override {
     return "Round-robin over unique ids: Θ(log n)-bit labels, "
            "collision-free (paper §1)";
-  }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // label-free: one plan per graph
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
@@ -1270,26 +1270,13 @@ class ColorRobinScheme final : public Scheme {
   }
 };
 
-class DecayScheme final : public Scheme {
+/// The seed parameterizes the protocols, not a plan.
+class DecayScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "decay"; }
   std::string_view description() const noexcept override {
     return "BGI Decay: randomized label-free baseline that knows n "
            "(paper §1)";
-  }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // label-free; the seed parameterizes protocols, not a plan
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
   }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
@@ -1320,7 +1307,8 @@ class DecayScheme final : public Scheme {
   }
 };
 
-class BeepScheme final : public Scheme {
+/// Anonymous: no labeling at all.
+class BeepScheme final : public LabelFreeScheme {
  public:
   std::string_view name() const noexcept override { return "beep"; }
   std::string_view description() const noexcept override {
@@ -1328,20 +1316,6 @@ class BeepScheme final : public Scheme {
            "(paper §1.1)";
   }
   bool needs_collision_detection() const noexcept override { return true; }
-  std::string plan_key(NodeId, const SchemeOptions&) const override {
-    return {};  // anonymous: no labeling at all
-  }
-  bool can_store_plans() const noexcept override { return true; }
-  void encode_plan(const Plan& plan, ByteWriter& out) const override {
-    encode_empty_plan(plan, out);
-  }
-  PlanPtr decode_plan(ByteReader& in) const override {
-    return decode_empty_plan(in);
-  }
-
-  PlanPtr label(const Graph&, NodeId, const SchemeOptions&) const override {
-    return std::make_shared<EmptyPlan>();
-  }
 
   std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
       const Graph& g, NodeId source, const Plan&,
@@ -1372,8 +1346,8 @@ class BeepScheme final : public Scheme {
       ok = p.decoded().has_value() && *p.decoded() == opt.mu;
     }
     out.ok = ok;
-    // Historical BeepRun convention: the round count, not the last
-    // first-data reception (decoding finishes after the last beep).
+    // The round count, not the last first-data reception: decoding
+    // finishes after the last beep.
     out.completion_round = e.round();
     out.label_bits = 0;
   }

@@ -407,7 +407,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
   }
 
   // Phase 3: execute all specs against the shared read-only plans, outside
-  // the mutex (graph nodes never move; plans are held by pointer); results
+  // the mutex (graph nodes never move; plans are held by pointer), handing
+  // `run_with_plan` each spec's cached compiled entry to replay; results
   // land in spec order (parallel_map writes indexed slots).  Each spec's
   // execution wall time is recorded for the serve layer's binary result
   // encoding; timing covers execution only, not the shared plan phases.
@@ -418,10 +419,8 @@ std::vector<SchemeResult> SweepRunner::run_ptrs(
     const Resolved& r = resolved[i];
     const auto start = std::chrono::steady_clock::now();
     SchemeResult result =
-        r.compiled != nullptr
-            ? r.scheme->replay(*r.graph, spec.source, *r.compiled, spec.config)
-            : run_with_plan(*r.scheme, *r.graph, spec.source, r.plan,
-                            spec.options, spec.config);
+        run_with_plan(*r.scheme, *r.graph, spec.source, r.plan, spec.options,
+                      spec.config, r.compiled);
     wall_ns[i] = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)

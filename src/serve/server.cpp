@@ -364,8 +364,9 @@ void Server::handle_batch(const std::shared_ptr<Conn>& conn,
     sliced = runner_.run_merged({&specs});
   } catch (const ContractViolation& violation) {
     // Unresolvable graph ref, out-of-range source... the batch is rejected,
-    // the connection and server stay up.
-    send_error(conn, id, "run_failed", violation.what());
+    // the connection and server stay up.  The frame carries the violation
+    // without its source location.
+    send_error(conn, id, "run_failed", violation.text());
     return;
   }
   send_batch_results(conn, id, binary, sliced[0]);

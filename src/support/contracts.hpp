@@ -8,35 +8,43 @@
 /// report a broken invariant together with the offending configuration.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
 namespace radiocast {
 
 /// Thrown when a precondition, postcondition or internal invariant is violated.
+/// `what()` ends with the violated check's source location, for logs and
+/// tests; `text()` is the same message without it, for messages that leave
+/// the process (a daemon's error frames).
 class ContractViolation : public std::logic_error {
  public:
-  explicit ContractViolation(const std::string& what)
-      : std::logic_error(what) {}
+  ContractViolation(const std::string& text, const std::string& location)
+      : std::logic_error(text + " (" + location + ")"),
+        text_size_(text.size()) {}
+
+  std::string text() const { return std::string(what(), text_size_); }
+
+ private:
+  std::size_t text_size_;
 };
 
 namespace detail {
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line,
                                        const std::string& message) {
-  std::string what(kind);
-  what += " violated: ";
-  what += expr;
+  std::string text(kind);
+  text += " violated: ";
+  text += expr;
   if (!message.empty()) {
-    what += " — ";
-    what += message;
+    text += " — ";
+    text += message;
   }
-  what += " (";
-  what += file;
-  what += ':';
-  what += std::to_string(line);
-  what += ')';
-  throw ContractViolation(what);
+  std::string location(file);
+  location += ':';
+  location += std::to_string(line);
+  throw ContractViolation(text, location);
 }
 }  // namespace detail
 

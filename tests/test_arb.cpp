@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
+#include "core/arb.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
@@ -14,11 +15,12 @@ namespace radiocast::core {
 namespace {
 
 using graph::NodeId;
+using runtime::run_scheme;
 
 TEST(Arb, TwoNodesBothSources) {
   const auto g = graph::path(2);
   for (const NodeId src : {0u, 1u}) {
-    const auto run = run_arbitrary(g, src, 0);
+    const auto run = run_scheme("arb", g, src);
     EXPECT_TRUE(run.ok) << "source " << src;
     EXPECT_GE(run.T, 1u);
   }
@@ -27,7 +29,7 @@ TEST(Arb, TwoNodesBothSources) {
 TEST(Arb, EverySourceOnFigure1) {
   const auto g = graph::figure1();
   for (NodeId src = 0; src < g.node_count(); ++src) {
-    const auto run = run_arbitrary(g, src, 0, {.mu = 4242});
+    const auto run = run_scheme("arb", g, src, {.mu = 4242});
     EXPECT_TRUE(run.ok) << "source " << src;
     EXPECT_NE(run.done_round, 0u) << "source " << src;
   }
@@ -37,7 +39,7 @@ TEST(Arb, CoordinatorAsSourceCornerCase) {
   Rng rng(61);
   for (int rep = 0; rep < 8; ++rep) {
     const auto g = graph::gnp_connected(12, 0.2, rng);
-    const auto run = run_arbitrary(g, /*source=*/0, /*coordinator=*/0);
+    const auto run = run_scheme("arb", g, /*source=*/0);
     EXPECT_TRUE(run.ok) << "rep " << rep;
   }
 }
@@ -47,7 +49,7 @@ TEST(Arb, ZAsSourceCornerCase) {
   for (int rep = 0; rep < 8; ++rep) {
     const auto g = graph::gnp_connected(12, 0.2, rng);
     const auto labeling = label_arbitrary(g, 0);
-    const auto run = run_arbitrary(g, labeling.z, 0);
+    const auto run = run_scheme("arb", g, labeling.z);
     EXPECT_TRUE(run.ok) << "rep " << rep << " z=" << labeling.z;
   }
 }
@@ -55,9 +57,9 @@ TEST(Arb, ZAsSourceCornerCase) {
 TEST(Arb, NonZeroCoordinatorWorks) {
   Rng rng(63);
   const auto g = graph::gnp_connected(15, 0.18, rng);
-  const auto run = run_arbitrary(g, 3, /*coordinator=*/7);
+  const auto run = run_scheme("arb", g, 3, {.coordinator = 7});
   EXPECT_TRUE(run.ok);
-  EXPECT_EQ(run.coordinator, 7u);
+  EXPECT_EQ(run.special, 7u);
 }
 
 TEST(Arb, TEqualsPhase1CompletionSpan) {
@@ -65,7 +67,7 @@ TEST(Arb, TEqualsPhase1CompletionSpan) {
   // with source r.
   const auto g = graph::figure1();
   const auto labeling = label_arbitrary(g, 0);
-  const auto run = run_arbitrary(g, 5, 0);
+  const auto run = run_scheme("arb", g, 5);
   ASSERT_TRUE(run.ok);
   EXPECT_EQ(run.T, 2ull * labeling.stages.ell - 3);
 }
@@ -126,7 +128,7 @@ TEST(Arb, AllSourcesAcrossFamilies) {
   const auto suite = analysis::quick_suite(14, 303);
   for (const auto& w : suite) {
     for (NodeId src = 0; src < w.graph.node_count(); src += 3) {
-      const auto run = run_arbitrary(w.graph, src, 0);
+      const auto run = run_scheme("arb", w.graph, src);
       EXPECT_TRUE(run.ok) << w.family << " source " << src;
     }
   }
@@ -138,7 +140,7 @@ TEST_P(ArbFuzz, RandomGraphsEverySource) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
   const auto g = graph::gnp_connected(10, 0.25, rng);
   for (NodeId src = 0; src < g.node_count(); ++src) {
-    const auto run = run_arbitrary(g, src, 0);
+    const auto run = run_scheme("arb", g, src);
     ASSERT_TRUE(run.ok) << "seed " << GetParam() << " source " << src;
   }
 }
@@ -146,13 +148,13 @@ TEST_P(ArbFuzz, RandomGraphsEverySource) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ArbFuzz, ::testing::Range(0, 10));
 
 TEST(Arb, RequiresTwoNodes) {
-  EXPECT_THROW(run_arbitrary(graph::path(1), 0, 0), ContractViolation);
+  EXPECT_THROW(run_scheme("arb", graph::path(1), 0), ContractViolation);
 }
 
 TEST(Arb, MuPropagatesVerbatim) {
   Rng rng(65);
   const auto g = graph::gnp_connected(12, 0.2, rng);
-  const auto run = run_arbitrary(g, 4, 0, {.mu = 0xFEEDu});
+  const auto run = run_scheme("arb", g, 4, {.mu = 0xFEEDu});
   EXPECT_TRUE(run.ok);
 }
 

@@ -7,16 +7,18 @@
 
 #include "analysis/experiments.hpp"
 #include "baselines/baselines.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::baselines {
 namespace {
 
+using runtime::run_scheme;
+
 TEST(RoundRobin, InformsPath) {
-  const auto run = run_round_robin(graph::path(8), 0);
+  const auto run = run_scheme("round-robin", graph::path(8), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_GT(run.completion_round, 0u);
 }
@@ -28,7 +30,7 @@ TEST(RoundRobin, NoCollisionsEver) {
   Rng rng(81);
   for (int rep = 0; rep < 8; ++rep) {
     const auto g = graph::gnp_connected(20, 0.15, rng);
-    const auto run = run_round_robin(g, 0);
+    const auto run = run_scheme("round-robin", g, 0);
     ASSERT_TRUE(run.all_informed);
     EXPECT_LE(run.completion_round,
               20ull * (graph::eccentricity(g, 0) + 1));
@@ -36,13 +38,15 @@ TEST(RoundRobin, NoCollisionsEver) {
 }
 
 TEST(RoundRobin, LabelBitsLogarithmic) {
-  EXPECT_EQ(run_round_robin(graph::path(16), 0).label_bits, 8u);   // 2*log2(16)
-  EXPECT_EQ(run_round_robin(graph::path(100), 0).label_bits, 14u); // 2*7
+  const auto small = run_scheme("round-robin", graph::path(16), 0);
+  const auto large = run_scheme("round-robin", graph::path(100), 0);
+  EXPECT_EQ(small.label_bits, 8u);   // 2*log2(16)
+  EXPECT_EQ(large.label_bits, 14u);  // 2*7
 }
 
 TEST(RoundRobin, AllFamilies) {
   for (const auto& w : radiocast::analysis::quick_suite(18, 11)) {
-    const auto run = run_round_robin(w.graph, w.source);
+    const auto run = run_scheme("round-robin", w.graph, w.source);
     EXPECT_TRUE(run.all_informed) << w.family;
   }
 }
@@ -52,7 +56,7 @@ TEST(ColorRobin, InformsWithinColorTimesEcc) {
   for (int rep = 0; rep < 8; ++rep) {
     const auto g = graph::gnp_connected(25, 0.12, rng);
     const auto coloring = graph::square_coloring(g);
-    const auto run = run_color_robin(g, 0);
+    const auto run = run_scheme("color-robin", g, 0);
     ASSERT_TRUE(run.all_informed);
     EXPECT_LE(run.completion_round,
               static_cast<std::uint64_t>(coloring.count) *
@@ -73,8 +77,8 @@ TEST(ColorRobin, BeatsRoundRobinOnBoundedDegree) {
   graph::GraphBuilder b(n);
   for (std::uint32_t i = 0; i + 1 < n; ++i) b.add_edge(perm[i], perm[i + 1]);
   const auto g = std::move(b).build();
-  const auto cr = run_color_robin(g, perm[0]);
-  const auto rr = run_round_robin(g, perm[0]);
+  const auto cr = run_scheme("color-robin", g, perm[0]);
+  const auto rr = run_scheme("round-robin", g, perm[0]);
   ASSERT_TRUE(cr.all_informed);
   ASSERT_TRUE(rr.all_informed);
   EXPECT_LT(cr.completion_round, rr.completion_round / 5);
@@ -83,7 +87,7 @@ TEST(ColorRobin, BeatsRoundRobinOnBoundedDegree) {
 
 TEST(ColorRobin, AllFamilies) {
   for (const auto& w : radiocast::analysis::quick_suite(18, 12)) {
-    const auto run = run_color_robin(w.graph, w.source);
+    const auto run = run_scheme("color-robin", w.graph, w.source);
     EXPECT_TRUE(run.all_informed) << w.family;
   }
 }
@@ -91,9 +95,9 @@ TEST(ColorRobin, AllFamilies) {
 TEST(Decay, InformsWithHighProbability) {
   Rng rng(83);
   int successes = 0;
-  for (int rep = 0; rep < 10; ++rep) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto g = graph::gnp_connected(20, 0.15, rng);
-    const auto run = run_decay(g, 0, static_cast<std::uint64_t>(rep) + 1);
+    const auto run = run_scheme("decay", g, 0, {.seed = seed});
     successes += run.all_informed ? 1 : 0;
   }
   EXPECT_GE(successes, 9);  // randomized: generous cap makes failure unlikely
@@ -101,22 +105,23 @@ TEST(Decay, InformsWithHighProbability) {
 
 TEST(Decay, DeterministicForSeed) {
   const auto g = graph::grid(4, 4);
-  const auto a = run_decay(g, 0, 99);
-  const auto b = run_decay(g, 0, 99);
+  const auto a = run_scheme("decay", g, 0, {.seed = 99});
+  const auto b = run_scheme("decay", g, 0, {.seed = 99});
   EXPECT_EQ(a.completion_round, b.completion_round);
 }
 
 TEST(Decay, LabelFree) {
-  EXPECT_EQ(run_decay(graph::path(10), 0, 1).label_bits, 0u);
+  const auto run = run_scheme("decay", graph::path(10), 0, {.seed = 1});
+  EXPECT_EQ(run.label_bits, 0u);
 }
 
 TEST(Comparison, LambdaUsesFewestBits) {
   // The paper's core comparison: 2 bits (λ) vs Θ(log Δ) vs Θ(log n).
   Rng rng(84);
   const auto g = graph::gnp_connected(64, 0.1, rng);
-  const auto b = radiocast::core::run_broadcast(g, 0);
-  const auto rr = run_round_robin(g, 0);
-  const auto cr = run_color_robin(g, 0);
+  const auto b = run_scheme("b", g, 0);
+  const auto rr = run_scheme("round-robin", g, 0);
+  const auto cr = run_scheme("color-robin", g, 0);
   ASSERT_TRUE(b.all_informed);
   ASSERT_TRUE(rr.all_informed);
   ASSERT_TRUE(cr.all_informed);

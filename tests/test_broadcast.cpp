@@ -5,10 +5,11 @@
 #include <tuple>
 
 #include "analysis/experiments.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
@@ -16,15 +17,16 @@ namespace radiocast::core {
 namespace {
 
 using graph::NodeId;
+using runtime::run_scheme;
 
 TEST(Broadcast, TrivialSingleNode) {
-  const auto run = run_broadcast(graph::path(1), 0);
+  const auto run = run_scheme("b", graph::path(1), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 0u);
 }
 
 TEST(Broadcast, TwoNodesOneRound) {
-  const auto run = run_broadcast(graph::path(2), 0);
+  const auto run = run_scheme("b", graph::path(2), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 1u);
   EXPECT_EQ(run.bound, 1u);
@@ -33,14 +35,14 @@ TEST(Broadcast, TwoNodesOneRound) {
 TEST(Broadcast, PathAchievesTheBoundExactly) {
   // Theorem 2.9 is tight on end-sourced paths: completion = 2n-3.
   for (const std::uint32_t n : {3u, 5u, 10u, 31u}) {
-    const auto run = run_broadcast(graph::path(n), 0);
+    const auto run = run_scheme("b", graph::path(n), 0);
     EXPECT_TRUE(run.all_informed);
     EXPECT_EQ(run.completion_round, 2ull * n - 3) << "n=" << n;
   }
 }
 
 TEST(Broadcast, Figure1CompletesInRound7) {
-  const auto run = run_broadcast(graph::figure1(), 0);
+  const auto run = run_scheme("b", graph::figure1(), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 7u);
   EXPECT_EQ(run.ell, 5u);
@@ -191,18 +193,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BroadcastFuzz, ::testing::Range(0, 12));
 TEST(Broadcast, LinearTimeScaling) {
   // §5: "Our algorithm works in time O(n)" — check the constant on paths
   // (exactly 2n-3) and that denser families finish much faster.
-  const auto path_run = run_broadcast(graph::path(64), 0);
+  const auto path_run = run_scheme("b", graph::path(64), 0);
   EXPECT_EQ(path_run.completion_round, 125u);
-  const auto grid_run = run_broadcast(graph::grid(8, 8), 0);
+  const auto grid_run = run_scheme("b", graph::grid(8, 8), 0);
   EXPECT_LT(grid_run.completion_round, 125u);
-  const auto star_run = run_broadcast(graph::star(64), 0);
+  const auto star_run = run_scheme("b", graph::star(64), 0);
   EXPECT_EQ(star_run.completion_round, 1u);
 }
 
 TEST(Broadcast, StayAndDataCountsReported) {
-  RunOptions opt;
-  opt.trace = sim::TraceLevel::kFull;
-  const auto run = run_broadcast(graph::figure1(), 0, opt);
+  const runtime::ExecutionConfig traced{.trace = sim::TraceLevel::kFull};
+  const auto run = run_scheme("b", graph::figure1(), 0, {}, traced);
   // Figure 1: µ transmissions {1}+{3}+{3,5}+{3,5,7}+{5}+{5}x2 = 10; stays: 3.
   EXPECT_EQ(run.data_tx_count, 10u);
   EXPECT_EQ(run.stay_count, 3u);

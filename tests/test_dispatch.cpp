@@ -17,9 +17,8 @@
 
 #include "core/arb.hpp"
 #include "core/multi.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
-#include "onebit/runner.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
@@ -73,6 +72,8 @@ namespace {
 
 using graph::Graph;
 using graph::NodeId;
+using runtime::ExecutionConfig;
+using runtime::SchemeOptions;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -438,42 +439,37 @@ TEST(DispatchDifferential, RunnersAgreeAcrossDispatchModes) {
   const auto graphs = random_graphs(12, 0xB44);
   for (const auto& g : graphs) {
     if (g.node_count() < 2) continue;
-    core::RunOptions opt;
-    opt.dispatch = sim::DispatchKind::kScan;
-    const auto scan = core::run_acknowledged(g, 0, opt);
-    opt.dispatch = sim::DispatchKind::kActiveSet;
-    const auto active = core::run_acknowledged(g, 0, opt);
+    const ExecutionConfig scan_cfg{.dispatch = sim::DispatchKind::kScan};
+    const ExecutionConfig active_cfg{.dispatch = sim::DispatchKind::kActiveSet};
+    const auto scan = runtime::run_scheme("ack", g, 0, {}, scan_cfg);
+    const auto active = runtime::run_scheme("ack", g, 0, {}, active_cfg);
     EXPECT_EQ(scan.all_informed, active.all_informed) << g.summary();
     EXPECT_EQ(scan.completion_round, active.completion_round) << g.summary();
     EXPECT_EQ(scan.ack_round, active.ack_round) << g.summary();
     EXPECT_EQ(scan.max_stamp, active.max_stamp) << g.summary();
 
-    const auto multi_scan = core::run_multi_broadcast(
-        g, 0, {5, 6, 7}, core::DomPolicy::kAscendingId,
-        sim::BackendKind::kAuto, sim::DispatchKind::kScan);
-    const auto multi_active = core::run_multi_broadcast(
-        g, 0, {5, 6, 7}, core::DomPolicy::kAscendingId,
-        sim::BackendKind::kAuto, sim::DispatchKind::kActiveSet);
+    const SchemeOptions multi{.payloads = {5, 6, 7}};
+    const auto multi_scan = runtime::run_scheme("multi", g, 0, multi, scan_cfg);
+    const auto multi_active =
+        runtime::run_scheme("multi", g, 0, multi, active_cfg);
     EXPECT_EQ(multi_scan.ok, multi_active.ok) << g.summary();
     EXPECT_EQ(multi_scan.ack_rounds, multi_active.ack_rounds) << g.summary();
-    EXPECT_EQ(multi_scan.total_rounds, multi_active.total_rounds)
-        << g.summary();
+    EXPECT_EQ(multi_scan.rounds, multi_active.rounds) << g.summary();
   }
 }
 
 TEST(DispatchDifferential, OneBitRunnerAgreesAcrossDispatchModes) {
   for (int i = 0; i < 4; ++i) {
     const Graph g = graph::grid(2 + i, 3 + i);
-    const auto scan = onebit::run_onebit(
-        g, 0, {.engine_dispatch = sim::DispatchKind::kScan});
-    const auto active = onebit::run_onebit(
-        g, 0, {.engine_dispatch = sim::DispatchKind::kActiveSet});
+    const ExecutionConfig scan_cfg{.dispatch = sim::DispatchKind::kScan};
+    const ExecutionConfig active_cfg{.dispatch = sim::DispatchKind::kActiveSet};
+    const auto scan = runtime::run_scheme("onebit", g, 0, {}, scan_cfg);
+    const auto active = runtime::run_scheme("onebit", g, 0, {}, active_cfg);
     EXPECT_EQ(scan.ok, active.ok) << g.summary();
     EXPECT_EQ(scan.completion_round, active.completion_round) << g.summary();
-    const auto ack_scan = onebit::run_onebit_acknowledged(
-        g, 0, {.engine_dispatch = sim::DispatchKind::kScan});
-    const auto ack_active = onebit::run_onebit_acknowledged(
-        g, 0, {.engine_dispatch = sim::DispatchKind::kActiveSet});
+    const auto ack_scan = runtime::run_scheme("onebit-ack", g, 0, {}, scan_cfg);
+    const auto ack_active =
+        runtime::run_scheme("onebit-ack", g, 0, {}, active_cfg);
     EXPECT_EQ(ack_scan.ok, ack_active.ok) << g.summary();
     EXPECT_EQ(ack_scan.ack_round, ack_active.ack_round) << g.summary();
   }

@@ -5,22 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
-#include "core/multi.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
-#include "onebit/runner.hpp"
+#include "runtime/scheme.hpp"
 #include "sim/engine.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast {
 namespace {
 
-using core::run_acknowledged;
-using core::run_arbitrary;
-using core::run_broadcast;
 using graph::NodeId;
+using runtime::run_scheme;
 
 TEST(EdgeCases, DisconnectedGraphIsRejectedByConstruction) {
   graph::GraphBuilder b(4);
@@ -32,13 +29,13 @@ TEST(EdgeCases, DisconnectedGraphIsRejectedByConstruction) {
 }
 
 TEST(EdgeCases, WheelFromHubIsOneShot) {
-  const auto run = run_broadcast(graph::wheel(12), 0);
+  const auto run = run_scheme("b", graph::wheel(12), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 1u);
 }
 
 TEST(EdgeCases, WheelFromRimNode) {
-  const auto run = run_broadcast(graph::wheel(12), 5);
+  const auto run = run_scheme("b", graph::wheel(12), 5);
   EXPECT_TRUE(run.all_informed);
   EXPECT_LE(run.completion_round, 5u);
 }
@@ -46,7 +43,7 @@ TEST(EdgeCases, WheelFromRimNode) {
 TEST(EdgeCases, PetersenAllSources) {
   const auto g = graph::petersen();
   for (NodeId s = 0; s < 10; ++s) {
-    const auto run = run_broadcast(g, s);
+    const auto run = run_scheme("b", g, s);
     ASSERT_TRUE(run.all_informed) << s;
     EXPECT_LE(run.completion_round, 17u);
   }
@@ -56,21 +53,21 @@ TEST(EdgeCases, LollipopFromTailTip) {
   // Deep chain into a clique: the clique is informed by a single chain node,
   // then one round floods it... collisions inside the clique stress DOM.
   const auto g = graph::lollipop(10, 15);
-  const auto run = run_broadcast(g, g.node_count() - 1);
+  const auto run = run_scheme("b", g, g.node_count() - 1);
   EXPECT_TRUE(run.all_informed);
   EXPECT_LE(run.completion_round, run.bound);
 }
 
 TEST(EdgeCases, LollipopFromCliqueCore) {
   const auto g = graph::lollipop(10, 15);
-  const auto run = run_broadcast(g, 0);
+  const auto run = run_scheme("b", g, 0);
   EXPECT_TRUE(run.all_informed);
 }
 
 TEST(EdgeCases, CompleteBipartiteBothSidesAndAck) {
   const auto g = graph::complete_bipartite(3, 17);
   for (const NodeId s : {0u, 5u}) {
-    const auto run = run_acknowledged(g, s);
+    const auto run = run_scheme("ack", g, s);
     ASSERT_TRUE(run.all_informed) << s;
     ASSERT_NE(run.ack_round, 0u) << s;
   }
@@ -79,7 +76,7 @@ TEST(EdgeCases, CompleteBipartiteBothSidesAndAck) {
 TEST(EdgeCases, DeepCaterpillarLegsDoNotStallChain) {
   // Legs create large NEW sets whose members never dominate anything.
   const auto g = graph::caterpillar(20, 5);
-  const auto run = run_broadcast(g, 0);
+  const auto run = run_scheme("b", g, 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_LE(run.completion_round, run.bound);
 }
@@ -115,7 +112,7 @@ TEST(EdgeCases, StarOfStars) {
     for (int leaf = 0; leaf < 6; ++leaf) b.add_edge(h, next++);
   }
   const auto g = std::move(b).build();
-  const auto run = run_broadcast(g, 0);
+  const auto run = run_scheme("b", g, 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 3u);  // hub -> sub-hubs -> leaves
 }
@@ -131,8 +128,8 @@ TEST(EdgeCases, MaxFreshPolicyBeatsOrMatchesOnFanouts) {
   }
   const auto g = std::move(b).build();
   const auto fast =
-      run_broadcast(g, 0, {.policy = core::DomPolicy::kMaxFresh});
-  const auto base = run_broadcast(g, 0);
+      run_scheme("b", g, 0, {.policy = core::DomPolicy::kMaxFresh});
+  const auto base = run_scheme("b", g, 0);
   ASSERT_TRUE(fast.all_informed);
   ASSERT_TRUE(base.all_informed);
   EXPECT_LE(fast.completion_round, base.completion_round);
@@ -152,27 +149,28 @@ TEST(EdgeCases, ArbWithCoordinatorEqualsZ) {
   // Force the degenerate labeling where the coordinator's λ_ack z happens to
   // be adjacent: 2-node graph, coordinator 0 => z = 1; source z.
   const auto g = graph::path(2);
-  EXPECT_TRUE(run_arbitrary(g, 1, 0).ok);
-  EXPECT_TRUE(run_arbitrary(g, 0, 0).ok);
+  EXPECT_TRUE(run_scheme("arb", g, 1).ok);
+  EXPECT_TRUE(run_scheme("arb", g, 0).ok);
 }
 
 TEST(EdgeCases, HugeStarAckConstantTime) {
   // Acknowledged broadcast on a star is O(1) regardless of n.
-  const auto run = run_acknowledged(graph::star(2000), 0);
+  const auto run = run_scheme("ack", graph::star(2000), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 1u);
   EXPECT_EQ(run.ack_round, 2u);
 }
 
 TEST(EdgeCases, LongPathStress) {
-  const auto run = run_acknowledged(graph::path(1500), 0);
+  const auto run = run_scheme("ack", graph::path(1500), 0);
   EXPECT_TRUE(run.all_informed);
   EXPECT_EQ(run.completion_round, 2997u);  // 2n-3
   EXPECT_EQ(run.ack_round, 2997u + 1499u);  // t + n - 1 (l = n case)
 }
 
 TEST(EdgeCases, MultiSessionOnTwoNodes) {
-  const auto run = core::run_multi_broadcast(graph::path(2), 0, {9, 8, 7, 6});
+  const auto run =
+      run_scheme("multi", graph::path(2), 0, {.payloads = {9, 8, 7, 6}});
   EXPECT_TRUE(run.ok);
   EXPECT_EQ(run.ack_rounds[0], 2u);
   EXPECT_EQ(run.rounds_per_message, 2u);
@@ -187,7 +185,7 @@ TEST(EdgeCases, OneBitOnDoubleStar) {
   for (NodeId leaf = 7; leaf < 12; ++leaf) b.add_edge(1, leaf);
   const auto g = std::move(b).build();
   for (const NodeId s : {0u, 2u, 11u}) {
-    EXPECT_TRUE(onebit::run_onebit(g, s, {.max_attempts = 256}).ok) << s;
+    EXPECT_TRUE(run_scheme("onebit", g, s, {.max_attempts = 256}).ok) << s;
   }
 }
 

@@ -7,22 +7,23 @@
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "onebit/labeler.hpp"
-#include "onebit/runner.hpp"
+#include "runtime/scheme.hpp"
 #include "support/rng.hpp"
 
 namespace radiocast::onebit {
 namespace {
 
 using graph::NodeId;
+using runtime::run_scheme;
 
 TEST(OneBit, TrivialGraphs) {
-  EXPECT_TRUE(run_onebit(graph::path(1), 0).ok);
-  EXPECT_TRUE(run_onebit(graph::path(2), 0).ok);
-  EXPECT_TRUE(run_onebit(graph::star(8), 0).ok);
+  EXPECT_TRUE(run_scheme("onebit", graph::path(1), 0).ok);
+  EXPECT_TRUE(run_scheme("onebit", graph::path(2), 0).ok);
+  EXPECT_TRUE(run_scheme("onebit", graph::star(8), 0).ok);
 }
 
 TEST(OneBit, StarFromLeafIsRadiusTwo) {
-  const auto run = run_onebit(graph::star(9), 3);
+  const auto run = run_scheme("onebit", graph::star(9), 3);
   EXPECT_TRUE(run.ok);
   EXPECT_LE(run.completion_round, 5u);
 }
@@ -33,7 +34,7 @@ TEST(OneBit, CompletionRoundMatchesClosedFormDynamics) {
     const auto g = graph::gnp_connected(12, 0.3, rng);
     const auto lab = find_onebit_labeling(g, 0);
     if (!lab.ok) continue;  // searcher may fail on some graphs; measured below
-    const auto run = run_onebit(g, 0);
+    const auto run = run_scheme("onebit", g, 0);
     ASSERT_TRUE(run.ok);
     EXPECT_EQ(run.completion_round, lab.completion_round)
         << "engine and closed-form dynamics disagree";
@@ -81,7 +82,7 @@ TEST(OneBitRadius2, RandomLargerGraphs) {
     const auto g = graph::gnp_connected(30, 0.35, rng);
     if (graph::eccentricity(g, 0) > 2) continue;
     ++radius2_cases;
-    const auto run = run_onebit(g, 0, {.max_attempts = 128});
+    const auto run = run_scheme("onebit", g, 0, {.max_attempts = 128});
     EXPECT_TRUE(run.ok) << "rep " << rep;
   }
   EXPECT_GE(radius2_cases, 5);
@@ -89,7 +90,7 @@ TEST(OneBitRadius2, RandomLargerGraphs) {
 
 TEST(OneBitRadius2, CompleteBipartiteBothSides) {
   for (const NodeId s : {0u, 5u}) {
-    const auto run = run_onebit(graph::complete_bipartite(5, 7), s);
+    const auto run = run_scheme("onebit", graph::complete_bipartite(5, 7), s);
     EXPECT_TRUE(run.ok) << "source " << s;
   }
 }
@@ -102,7 +103,7 @@ TEST_P(OneBitGrid, GridsAreOneBitLabelable) {
   const auto [rows, cols] = GetParam();
   const auto g = graph::grid(static_cast<std::uint32_t>(rows),
                              static_cast<std::uint32_t>(cols));
-  const auto run = run_onebit(g, 0, {.max_attempts = 256});
+  const auto run = run_scheme("onebit", g, 0, {.max_attempts = 256});
   EXPECT_TRUE(run.ok) << rows << "x" << cols;
 }
 
@@ -114,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, OneBitGrid,
 
 TEST(OneBitGrid, InteriorSource) {
   const auto g = graph::grid(5, 6);
-  const auto run =
-      run_onebit(g, /*source=(2,2)=*/2 * 6 + 2, {.max_attempts = 256});
+  const NodeId interior = 2 * 6 + 2;  // (2, 2)
+  const auto run = run_scheme("onebit", g, interior, {.max_attempts = 256});
   EXPECT_TRUE(run.ok);
 }
 
@@ -125,7 +126,7 @@ TEST_P(OneBitSp, SeriesParallelAreOneBitLabelable) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 5);
   const auto g = graph::series_parallel(
       20u + static_cast<std::uint32_t>(GetParam()) * 7u, rng);
-  const auto run = run_onebit(g, 0, {.max_attempts = 256});
+  const auto run = run_scheme("onebit", g, 0, {.max_attempts = 256});
   EXPECT_TRUE(run.ok) << g.summary();
 }
 
@@ -134,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OneBitSp, ::testing::Range(0, 10));
 TEST(OneBit, PathsAreOneBitLabelable) {
   // Paths are series-parallel; the wavefront should find the obvious scheme.
   for (const std::uint32_t n : {3u, 8u, 20u, 50u}) {
-    const auto run = run_onebit(graph::path(n), 0);
+    const auto run = run_scheme("onebit", graph::path(n), 0);
     EXPECT_TRUE(run.ok) << "n=" << n;
     EXPECT_EQ(run.completion_round, 2 * n - 3) << "n=" << n;
   }
@@ -144,14 +145,15 @@ TEST(OneBit, TreesAreOneBitLabelable) {
   Rng rng(73);
   for (int rep = 0; rep < 10; ++rep) {
     const auto g = graph::random_tree(25, rng);
-    const auto run = run_onebit(g, 0, {.max_attempts = 256});
+    const auto run = run_scheme("onebit", g, 0, {.max_attempts = 256});
     EXPECT_TRUE(run.ok) << "rep " << rep;
   }
 }
 
 TEST(OneBit, CyclesAreOneBitLabelable) {
   for (const std::uint32_t n : {3u, 4u, 5u, 8u, 15u}) {
-    const auto run = run_onebit(graph::cycle(n), 0, {.max_attempts = 256});
+    const auto run =
+        run_scheme("onebit", graph::cycle(n), 0, {.max_attempts = 256});
     EXPECT_TRUE(run.ok) << "n=" << n;
   }
 }
@@ -168,14 +170,14 @@ TEST(OneBit, DeterministicForSeed) {
 // --- Acknowledged one-bit (3 label values) -----------------------------------
 
 TEST(OneBitAck, PathAcknowledged) {
-  const auto run = run_onebit_acknowledged(graph::path(8), 0);
+  const auto run = run_scheme("onebit-ack", graph::path(8), 0);
   EXPECT_TRUE(run.ok);
   EXPECT_GT(run.ack_round, run.completion_round);
 }
 
 TEST(OneBitAck, GridAcknowledged) {
-  const auto run = run_onebit_acknowledged(graph::grid(4, 4), 0,
-                                           {.max_attempts = 256});
+  const auto run =
+      run_scheme("onebit-ack", graph::grid(4, 4), 0, {.max_attempts = 256});
   EXPECT_TRUE(run.ok);
   EXPECT_GT(run.ack_round, run.completion_round);
 }
@@ -184,12 +186,12 @@ TEST(OneBitAck, RadiusTwoAcknowledged) {
   Rng rng(74);
   const auto g = graph::gnp_connected(20, 0.5, rng);
   ASSERT_LE(graph::eccentricity(g, 0), 2u);
-  const auto run = run_onebit_acknowledged(g, 0, {.max_attempts = 128});
+  const auto run = run_scheme("onebit-ack", g, 0, {.max_attempts = 128});
   EXPECT_TRUE(run.ok);
 }
 
 TEST(OneBitAck, StarAcknowledged) {
-  const auto run = run_onebit_acknowledged(graph::star(12), 0);
+  const auto run = run_scheme("onebit-ack", graph::star(12), 0);
   EXPECT_TRUE(run.ok);
   // Star: informed at 1, z acks at 2.
   EXPECT_EQ(run.ack_round, 2u);

@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "core/arb.hpp"
 #include "core/population.hpp"
-#include "core/runner.hpp"
 #include "graph/enumerate.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scheme.hpp"

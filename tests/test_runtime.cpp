@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "baselines/baselines.hpp"
-#include "baselines/beep.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "runtime/plan_store.hpp"
@@ -198,26 +196,6 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
       expect_trace_equal(engine.trace, compiled.trace, context);
     }
   }
-}
-
-TEST(SchemeRuntime, WrappersForwardLosslessly) {
-  Rng rng(7);
-  const Graph g = graph::gnp_connected(14, 0.25, rng);
-  const auto direct = runtime::run_scheme("b", g, 0);
-  const auto wrapped = core::run_broadcast(g, 0);
-  EXPECT_EQ(wrapped.all_informed, direct.all_informed);
-  EXPECT_EQ(wrapped.completion_round, direct.completion_round);
-  EXPECT_EQ(wrapped.bound, direct.bound);
-  EXPECT_EQ(wrapped.ell, direct.ell);
-  EXPECT_EQ(wrapped.max_node_tx, direct.max_node_tx);
-
-  SchemeOptions beep_opt;
-  beep_opt.mu = 9;
-  beep_opt.frame_bits = 6;
-  const auto beep_direct = runtime::run_scheme("beep", g, 0, beep_opt);
-  const auto beep_wrapped = baselines::run_beep(g, 0, 9, 6);
-  EXPECT_EQ(beep_wrapped.ok, beep_direct.ok);
-  EXPECT_EQ(beep_wrapped.completion_round, beep_direct.completion_round);
 }
 
 TEST(SchemeRuntime, VerifyHookChecksLemma28) {
@@ -535,80 +513,105 @@ TEST(SweepRunner, ConcurrentBatchesMatchSerialRunsAndBuildEachKeyOnce) {
   std::filesystem::remove_all(dir);
 }
 
+/// `got` equals `want` field for field, trace included.
+void expect_same_answer(const SchemeResult& got, const SchemeResult& want,
+                        const std::string& what) {
+  expect_results_equal(got, want, what);
+  EXPECT_EQ(got.labeling_found, want.labeling_found) << what;
+  EXPECT_EQ(got.bound, want.bound) << what;
+  EXPECT_EQ(got.ell, want.ell) << what;
+  EXPECT_EQ(got.special, want.special) << what;
+  EXPECT_EQ(got.last_learned, want.last_learned) << what;
+  EXPECT_EQ(got.stay_count, want.stay_count) << what;
+  EXPECT_EQ(got.data_tx_count, want.data_tx_count) << what;
+  EXPECT_EQ(got.polls, want.polls) << what;
+  EXPECT_EQ(got.attempts, want.attempts) << what;
+  EXPECT_EQ(got.ones, want.ones) << what;
+  EXPECT_EQ(got.label_bits, want.label_bits) << what;
+  EXPECT_EQ(got.rounds_per_message, want.rounds_per_message) << what;
+  expect_trace_equal(got.trace, want.trace, what);
+}
+
 // One compiled-or-engine decision: a sweep must answer what run_scheme
-// answers when the compiled path does not apply.  A faulted compiled b spec
-// must run the engine under its faults (not replay the fault-free
-// schedule), and a compiled resilient ack spec, which the scheme does not
-// compile, must run the engine instead of failing the batch — and neither
-// may touch the compiled cache.  Each batch holds two copies of the spec
-// (an owner and a sharer of one key) and runs twice (cold, then warm), at
-// 1 and 4 workers, with and without a store.
+// answers.  Every registered scheme on grid:4:4 runs with compiled off and
+// on, without faults, under 30% edge loss and under a crash-restart window,
+// with resilient off and on (for ack, the scheme that reads it), and at
+// counters and full trace level.  Each batch holds two copies of the spec
+// (an owner and a sharer of one key) and runs twice (cold, then warm), at 1
+// and 4 workers, with and without a store; every result must equal
+// run_scheme field for field, trace included.  A spec that takes the
+// compiled path compiles exactly once per runner; any other spec (faulted,
+// declined like resilient ack, or not compiled) never touches the compiled
+// cache.
 TEST(SweepRunner, FaultedAndDeclinedCompilesAnswerLikeRunScheme) {
-  struct Case {
-    const char* scheme;
-    const char* graph;
-    const char* faults;
-    bool resilient;
-  };
-  const Case cases[] = {
-      {"b", "grid:8:8", "edge-loss:0.5:7", false},
-      {"ack", "grid:4:4", "", true},
-  };
-  const std::string dir = ::testing::TempDir() + "radiocast_sweep_decision";
-  for (const Case& c : cases) {
-    SchemeOptions opt;
-    opt.resilient = c.resilient;
-    ExecutionConfig cfg;
-    cfg.compiled = true;
-    if (*c.faults != '\0') {
-      const auto parsed = sim::parse_fault_plan(c.faults);
-      ASSERT_TRUE(parsed.ok) << parsed.error;
-      cfg.faults = parsed.plan;
+  std::vector<ExperimentSpec> specs;
+  for (const runtime::Scheme* scheme : SchemeRegistry::instance().schemes()) {
+    for (const char* faults : {"", "edge-loss:0.3:7", "crash:5:3:9"}) {
+      sim::FaultPlan plan;
+      if (*faults != '\0') {
+        const auto parsed = sim::parse_fault_plan(faults);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        plan = parsed.plan;
+      }
+      for (const bool resilient : {false, true}) {
+        if (resilient && scheme->name() != "ack") continue;
+        for (const bool compiled : {false, true}) {
+          for (const auto trace :
+               {sim::TraceLevel::kCounters, sim::TraceLevel::kFull}) {
+            ExperimentSpec spec;
+            spec.scheme = scheme->name();
+            spec.graph.generator = "grid:4:4";
+            spec.options.resilient = resilient;
+            spec.config.compiled = compiled;
+            spec.config.trace = trace;
+            spec.config.faults = plan;
+            specs.push_back(spec);
+          }
+        }
+      }
     }
-    const Graph g = graph::from_descriptor(c.graph);
-    const SchemeResult want = runtime::run_scheme(c.scheme, g, 0, opt, cfg);
-    ExperimentSpec spec;
-    spec.scheme = c.scheme;
-    spec.graph.generator = c.graph;
-    spec.options = opt;
-    spec.config = cfg;
+  }
+  const Graph g = graph::from_descriptor("grid:4:4");
+  const std::string dir = ::testing::TempDir() + "radiocast_sweep_decision";
+  par::ThreadPool pools[] = {par::ThreadPool(1), par::ThreadPool(4)};
+  for (const ExperimentSpec& spec : specs) {
+    const runtime::Scheme& scheme =
+        *SchemeRegistry::instance().find(spec.scheme);
+    const SchemeResult want =
+        runtime::run_scheme(scheme, g, 0, spec.options, spec.config);
+    const bool takes =
+        runtime::takes_compiled_path(scheme, spec.options, spec.config);
+    std::string context = spec.scheme;
+    context += " [" + sim::format_fault_plan(spec.config.faults) + "]";
+    if (spec.options.resilient) context += " resilient";
+    if (spec.config.compiled) context += " compiled";
+    if (spec.config.trace == sim::TraceLevel::kFull) context += " full";
     const std::vector<ExperimentSpec> batch{spec, spec};
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (par::ThreadPool& pool : pools) {
       for (const bool with_store : {false, true}) {
         std::filesystem::remove_all(dir);
-        par::ThreadPool pool(workers);
         runtime::PlanStore store(dir);
         runtime::SweepRunner runner(pool);
         if (with_store) runner.attach_store(&store);
-        std::string context = std::string(c.scheme) + " on " + c.graph;
-        context += with_store ? " +store @ " : " @ ";
-        context += std::to_string(workers);
+        std::string where = context + (with_store ? " +store" : "");
+        where += " @ " + std::to_string(pool.thread_count());
         for (const char* pass : {" cold #", " warm #"}) {
           const auto got = runner.run(batch);
           ASSERT_EQ(got.size(), batch.size());
           for (std::size_t i = 0; i < got.size(); ++i) {
-            const std::string what = context + pass + std::to_string(i);
-            expect_results_equal(got[i], want, what);
-            EXPECT_EQ(got[i].labeling_found, want.labeling_found) << what;
-            EXPECT_EQ(got[i].bound, want.bound) << what;
-            EXPECT_EQ(got[i].ell, want.ell) << what;
-            EXPECT_EQ(got[i].special, want.special) << what;
-            EXPECT_EQ(got[i].last_learned, want.last_learned) << what;
-            EXPECT_EQ(got[i].stay_count, want.stay_count) << what;
-            EXPECT_EQ(got[i].data_tx_count, want.data_tx_count) << what;
-            EXPECT_EQ(got[i].polls, want.polls) << what;
-            EXPECT_EQ(got[i].attempts, want.attempts) << what;
-            EXPECT_EQ(got[i].ones, want.ones) << what;
-            EXPECT_EQ(got[i].label_bits, want.label_bits) << what;
-            EXPECT_EQ(got[i].rounds_per_message, want.rounds_per_message)
-                << what;
+            expect_same_answer(got[i], want, where + pass + std::to_string(i));
           }
         }
-        // Neither spec takes the compiled path, so nothing is compiled,
-        // cached or counted.
-        EXPECT_EQ(runner.cache().compiled_count(), 0u);
-        EXPECT_EQ(runner.cache_stats().compiled_hits, 0u) << context;
-        EXPECT_EQ(runner.cache_stats().compiled_misses, 0u) << context;
+        const auto stats = runner.cache_stats();
+        if (takes) {
+          EXPECT_EQ(runner.cache().compiled_count(), 1u) << where;
+          EXPECT_EQ(stats.compiled_misses, 1u) << where;
+        } else {
+          // Nothing is compiled, cached or counted.
+          EXPECT_EQ(runner.cache().compiled_count(), 0u) << where;
+          EXPECT_EQ(stats.compiled_hits, 0u) << where;
+          EXPECT_EQ(stats.compiled_misses, 0u) << where;
+        }
       }
     }
   }

@@ -5,7 +5,7 @@
 
 #include "analysis/experiments.hpp"
 #include "analysis/stats.hpp"
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/schedule.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -434,15 +435,22 @@ TEST(Serve, MalformedDescriptorFailsOnlyItsBatch) {
   Client client;
   ASSERT_TRUE(client.connect_tcp(server.tcp_port()));
 
-  for (const char* descriptor :
-       {"gnp:100:abc:1", "path:99999999999999999999999", "gnp:50:1e999:3",
-        "grid:4294967298:1"}) {
+  // Each descriptor with the argument its error must name.  The message
+  // names it but not the server's source location.
+  const std::pair<const char*, const char*> cases[] = {
+      {"gnp:100:abc:1", "('abc')"},
+      {"path:99999999999999999999999", "('99999999999999999999999')"},
+      {"gnp:50:1e999:3", "('1e999')"},
+      {"grid:4294967298:1", "('4294967298')"}};
+  for (const auto& [descriptor, argument] : cases) {
     runtime::ExperimentSpec bad;
     bad.scheme = "b";
     bad.graph.generator = descriptor;
     const auto failed = client.run_batch({bad});
     EXPECT_FALSE(failed.ok) << descriptor;
     EXPECT_EQ(failed.code, "run_failed") << descriptor;
+    EXPECT_NE(failed.error.find(argument), std::string::npos) << failed.error;
+    EXPECT_EQ(failed.error.find(".cpp:"), std::string::npos) << failed.error;
 
     runtime::ExperimentSpec good;
     good.scheme = "b";

@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "core/arb.hpp"
 #include "core/labeling.hpp"
-#include "core/runner.hpp"
 #include "core/stages.hpp"
 #include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"

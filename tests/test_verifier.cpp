@@ -3,7 +3,7 @@
 // the hundreds of sweep tests that rely on it prove nothing.
 #include <gtest/gtest.h>
 
-#include "core/runner.hpp"
+#include "core/protocols.hpp"
 #include "core/verifier.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
