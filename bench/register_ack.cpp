@@ -35,8 +35,8 @@ void run(Context& ctx) {
           const bool in_fixed_window =
               run.ack_round >= run.completion_round + 1 &&
               run.ack_round <= run.completion_round + s.n - 1;
-          // The compiled Theorem 3.9 replay must agree with the engine on
-          // every observable it predicts.
+          // The compiled path (one memoized run, Theorem 3.9) must agree
+          // with the engine.
           runtime::ExecutionConfig cfg = ctx.exec();
           cfg.compiled = true;
           runtime::SchemeResult compiled;

@@ -1,7 +1,7 @@
 // radiocast_cli — command-line front end for the library.
 //
 //   radiocast_cli gen <family> [args...]          emit an edge list
-//   radiocast_cli label  [--source N] [--scheme b|ack|arb] < edges
+//   radiocast_cli label  [--source N] [--scheme NAME] < edges  labels
 //   radiocast_cli run    [--source N] [--scheme NAME] < edges  any scheme
 //   radiocast_cli verify [--source N] < edges     run B + Lemma 2.8 check
 //   radiocast_cli dot    [--source N] < edges     Graphviz with labels
@@ -23,6 +23,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "core/labeling.hpp"
@@ -55,10 +56,10 @@ int usage() {
                "[--backend ...] [--dispatch ...]\n"
                "                     [--threads N] [--store DIR] "
                "[--store-gc-bytes B] [--faults ...]\n"
-               "       (run takes any registered scheme, label "
-               "b|ack|arb|onebit;\n"
-               "        --backend compiled replays the label-determined "
-               "schedule; run --scheme b|ack|arb;\n"
+               "       (run takes any registered scheme, label b, arb, "
+               "onebit or any lambda-ack scheme;\n"
+               "        --backend compiled answers from the scheme's cached "
+               "compiled entry; run --scheme b|ack|arb;\n"
                "        --dispatch picks the protocol-dispatch strategy "
                "[auto = active-set when hinted];\n"
                "        --threads sets the sweep worker count "
@@ -108,6 +109,19 @@ Options parse_options(int argc, char** argv, int first) {
     }
   }
   return opt;
+}
+
+/// The registered scheme `name`, or nullptr after listing the registered
+/// names on stderr.
+const runtime::Scheme* find_scheme(const std::string& name) {
+  auto& registry = runtime::SchemeRegistry::instance();
+  if (const auto* scheme = registry.find(name)) return scheme;
+  std::fprintf(stderr, "unknown scheme '%s'; registered:", name.c_str());
+  for (const auto* s : registry.schemes()) {
+    std::fprintf(stderr, " %s", std::string(s->name()).c_str());
+  }
+  std::fprintf(stderr, "\n");
+  return nullptr;
 }
 
 /// Display name of the selected backend ("compiled" wins over the engine
@@ -165,21 +179,17 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_label(const graph::Graph& g, const Options& opt) {
+  const auto* scheme = find_scheme(opt.scheme);
+  if (scheme == nullptr) return 2;
+  const auto print = [&](const std::vector<core::Label>& labels, int bits) {
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      std::printf("%u %s\n", v, labels[v].to_string(bits).c_str());
+    }
+  };
   if (opt.scheme == "b") {
-    const auto lab = core::label_broadcast(g, opt.source);
-    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-      std::printf("%u %s\n", v, lab.labels[v].to_string(2).c_str());
-    }
-  } else if (opt.scheme == "ack") {
-    const auto lab = core::label_acknowledged(g, opt.source);
-    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-      std::printf("%u %s\n", v, lab.labels[v].to_string(3).c_str());
-    }
+    print(core::label_broadcast(g, opt.source).labels, 2);
   } else if (opt.scheme == "arb") {
-    const auto lab = core::label_arbitrary(g, opt.source);
-    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-      std::printf("%u %s\n", v, lab.labels[v].to_string(3).c_str());
-    }
+    print(core::label_arbitrary(g, opt.source).labels, 3);
   } else if (opt.scheme == "onebit") {
     const auto lab = onebit::find_onebit_labeling(g, opt.source);
     if (!lab.ok) {
@@ -189,36 +199,38 @@ int cmd_label(const graph::Graph& g, const Options& opt) {
     for (graph::NodeId v = 0; v < g.node_count(); ++v) {
       std::printf("%u %d\n", v, lab.bits[v] ? 1 : 0);
     }
+  } else if (scheme->plan_family() == "lambda-ack") {
+    // ack, common-round and multi all run on one λ_ack labeling.
+    print(core::label_acknowledged(g, opt.source).labels, 3);
   } else {
-    return usage();
+    std::fprintf(stderr,
+                 "label has no printer for scheme '%s'; it takes b, arb, "
+                 "onebit or a lambda-ack scheme (ack, common-round, multi)\n",
+                 opt.scheme.c_str());
+    return 2;
   }
   return 0;
 }
 
 int cmd_run(const graph::Graph& g, const Options& opt) {
-  auto& registry = runtime::SchemeRegistry::instance();
-  const auto* scheme = registry.find(opt.scheme);
-  if (scheme == nullptr) {
-    std::fprintf(stderr, "unknown scheme '%s'; registered:",
-                 opt.scheme.c_str());
-    for (const auto* s : registry.schemes()) {
-      std::fprintf(stderr, " %s", std::string(s->name()).c_str());
-    }
-    std::fprintf(stderr, "\n");
+  const auto* scheme = find_scheme(opt.scheme);
+  if (scheme == nullptr) return 2;
+  if (opt.resilient && opt.scheme != "ack") {
+    std::fprintf(stderr,
+                 "--resilient is B_ack's retry mode; it needs --scheme ack\n");
     return 2;
   }
   const bool faulted = opt.exec.faults.enabled() || opt.resilient;
   if (opt.exec.compiled && faulted) {
     std::fprintf(stderr,
-                 "--backend compiled replays the fault-free schedule; "
+                 "--backend compiled answers for the fault-free run; "
                  "--faults/--resilient need the engine\n");
     return 2;
   }
   if (opt.exec.compiled && !scheme->can_compile()) {
     std::fprintf(stderr,
                  "--backend compiled requires --scheme b, ack, or arb (the "
-                 "compiled schedules replay the label-determined "
-                 "algorithms)\n");
+                 "label-determined algorithms, whose runs it caches)\n");
     return 2;
   }
   runtime::SchemeOptions sopt;
@@ -359,8 +371,8 @@ int cmd_sweep(int argc, char** argv) {
     return 2;
   }
   if (config.compiled && config.faults.enabled()) {
-    std::fprintf(stderr, "--backend compiled replays the fault-free "
-                         "schedule; drop it to sweep with --faults\n");
+    std::fprintf(stderr, "--backend compiled answers for the fault-free "
+                         "run; drop it to sweep with --faults\n");
     return 2;
   }
 
@@ -378,14 +390,7 @@ int cmd_sweep(int argc, char** argv) {
         continue;
       }
       if (cur.empty()) continue;
-      if (registry.find(cur) == nullptr) {
-        std::fprintf(stderr, "unknown scheme '%s'; registered:", cur.c_str());
-        for (const auto* s : registry.schemes()) {
-          std::fprintf(stderr, " %s", std::string(s->name()).c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 2;
-      }
+      if (find_scheme(cur) == nullptr) return 2;
       schemes.push_back(cur);
       cur.clear();
     }

@@ -13,34 +13,6 @@ using graph::NodeBitset;
 using sim::Message;
 using sim::MsgKind;
 
-CompiledSchedule compile_schedule(const BroadcastSchedule& schedule) {
-  CompiledSchedule out;
-  out.completion_round = schedule.completion_round;
-  out.rounds = schedule.completion_round;
-  out.offsets.assign(out.rounds + 1, 0);
-
-  std::size_t total = 0;
-  for (const auto& r : schedule.rounds) {
-    if (r.round <= out.rounds) total += r.transmitters.size();
-  }
-  out.transmitters.reserve(total);
-
-  // schedule.rounds is ordered by round number with silent rounds omitted;
-  // walk it once, filling cumulative offsets for every round in between.
-  std::size_t next = 0;
-  for (std::uint64_t round = 1; round <= out.rounds; ++round) {
-    out.offsets[round - 1] =
-        static_cast<std::uint32_t>(out.transmitters.size());
-    if (next < schedule.rounds.size() && schedule.rounds[next].round == round) {
-      const auto& tx = schedule.rounds[next].transmitters;
-      out.transmitters.insert(out.transmitters.end(), tx.begin(), tx.end());
-      ++next;
-    }
-  }
-  out.offsets[out.rounds] = static_cast<std::uint32_t>(out.transmitters.size());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Generic replay over a lowered execution
 
@@ -97,70 +69,7 @@ ReplayResult replay_execution(const CompiledExecution& exec,
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm B (Lemma 2.8)
-
-CompiledScheduleRunner::CompiledScheduleRunner(const Graph& g,
-                                               const Labeling& labeling,
-                                               std::uint32_t mu,
-                                               sim::BackendKind backend)
-    : graph_(g),
-      source_(labeling.source),
-      mu_(mu),
-      compiled_(compile_schedule(predict_schedule(g, labeling))),
-      backend_(sim::make_engine_backend(g, backend)) {}
-
-ReplayResult CompiledScheduleRunner::run(sim::TraceLevel level) {
-  const auto n = graph_.node_count();
-  ReplayResult out;
-  out.first_data.assign(n, 0);
-  out.tx_count.assign(n, 0);
-  out.rx_count.assign(n, 0);
-
-  const bool record_full = level == sim::TraceLevel::kFull;
-  const Message data{MsgKind::kData, 0, mu_, std::nullopt};
-  const Message stay{MsgKind::kStay, 0, 0, std::nullopt};
-
-  for (std::uint64_t round = 1; round <= compiled_.rounds; ++round) {
-    const auto tx = compiled_.round_transmitters(round);
-    const bool is_data = CompiledSchedule::is_data_round(round);
-    const Message& m = is_data ? data : stay;
-
-    backend_->resolve(tx, record_full, resolution_);
-
-    sim::RoundRecord record;
-    if (record_full) {
-      record.transmissions.reserve(tx.size());
-      for (const NodeId t : tx) record.transmissions.emplace_back(t, m);
-    }
-    for (const auto& [w, tx_index] : resolution_.deliveries) {
-      (void)tx_index;  // the round's message is uniform for algorithm B
-      ++out.rx_count[w];
-      if (is_data && out.first_data[w] == 0) out.first_data[w] = round;
-      if (record_full) record.deliveries.emplace_back(w, m);
-    }
-    if (record_full) {
-      record.collisions = resolution_.collisions;
-      out.trace.push(std::move(record));
-    }
-
-    out.tx_total += tx.size();
-    for (const NodeId t : tx) ++out.tx_count[t];
-  }
-
-  out.rounds = compiled_.rounds;
-  out.completion_round =
-      out.first_data.empty()
-          ? 0
-          : *std::max_element(out.first_data.begin(), out.first_data.end());
-  out.all_informed = true;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != source_ && out.first_data[v] == 0) out.all_informed = false;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Shared machinery for the flat (protocol-free) predictors
+// Building blocks of B_arb's flat (protocol-free) predictor
 
 namespace {
 
@@ -346,119 +255,6 @@ struct ExecutionBuilder {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// B_ack (Algorithm 2 / Theorem 3.9)
-
-CompiledAckRunner::CompiledAckRunner(const Graph& g,
-                                     const std::vector<Label>& labels,
-                                     NodeId source, std::uint32_t mu,
-                                     sim::BackendKind backend,
-                                     std::uint64_t max_rounds)
-    : graph_(g),
-      source_(source),
-      backend_(sim::make_engine_backend(g, backend)) {
-  const auto n = g.node_count();
-  if (max_rounds == 0) {
-    max_rounds = 6 * std::max<std::uint64_t>(n, 2) + 16;  // "ack" budget
-  }
-  if (n <= 1) {
-    exec_.offsets.push_back(0);
-    prediction_.all_informed = true;
-    return;
-  }
-
-  // Flat image of AckBroadcastProtocol: one stamped phase plus the ack
-  // relay.  All rules read labels and stamps only — no protocol objects.
-  FlatPhase core;
-  core.init(n, MsgKind::kData, 0);
-  core.make_origin(source_, mu, 1);
-  FlatAcks acks;
-  acks.init(n);
-  std::uint64_t ack_received_round = 0;
-  // Engine-level first-data accounting (counts every kData delivery,
-  // including to the source and to already-informed nodes), so the
-  // prediction carries completion_round without a second replay pass.
-  std::vector<std::uint64_t> engine_first_data(n, 0);
-
-  RoundAgenda agenda(n);
-  agenda.push(1, source_);
-
-  ExecutionBuilder builder;
-  sim::RoundResolution res;
-
-  for (std::uint64_t r = 1; r <= max_rounds; ++r) {
-    builder.begin_round();
-    for (const NodeId v : agenda.take(r)) {
-      const Label lab = labels[v];
-      // Lines 18-19 of Algorithm 2: z starts the acknowledgement process
-      // the round after it is informed, pre-empting its x2 rule.
-      std::optional<Message> z_ack;
-      if (lab.x3 && core.first_data[v] != 0 && r == core.first_data[v] + 1) {
-        z_ack = Message{MsgKind::kAck, 0, 0, core.informed_stamp[v]};
-      }
-      std::optional<Message> m = core.decide(v, r, lab, z_ack);
-      // Lines 28-31: forward the ack iff we transmitted µ in the stamped
-      // round (checked after every broadcast rule, as in on_round).
-      if (!m && acks.local[v] == r - 1 && core.has_stamp(v, acks.stamp[v])) {
-        m = Message{MsgKind::kAck, 0, 0, core.informed_stamp[v]};
-      }
-      if (m) {
-        builder.add(v, *m);
-        agenda.push(r + 2, v);  // stay-triggered retransmission window
-      }
-    }
-    const auto tx = builder.seal_round();
-
-    backend_->resolve(tx, /*want_collisions=*/false, res);
-    for (const auto& [w, tx_index] : res.deliveries) {
-      const Message& m = builder.message_at(tx_index);
-      if (m.kind == MsgKind::kData && engine_first_data[w] == 0) {
-        engine_first_data[w] = r;
-      }
-      if (m.kind == MsgKind::kAck) {
-        acks.record(w, m, r);
-        agenda.push(r + 1, w);  // ack-forwarding window
-        if (w == source_ && ack_received_round == 0) ack_received_round = r;
-        continue;
-      }
-      if (core.hear(w, m, r)) {
-        agenda.push(r + 1, w);  // x2 / z-ack round
-        agenda.push(r + 2, w);  // x1 round
-      } else if (m.kind == MsgKind::kStay) {
-        agenda.push(r + 1, w);  // stay-triggered retransmission check
-      }
-    }
-    if (ack_received_round != 0) break;  // run_until(src.ack_round() != 0)
-  }
-
-  // max_stamp covers *transmitted* stamps (the engine reads decisions, not
-  // only successfully heard messages).
-  for (const auto& m : builder.exec.messages) {
-    if (m.stamp) {
-      prediction_.max_stamp = std::max(prediction_.max_stamp, *m.stamp);
-    }
-  }
-  prediction_.rounds = builder.exec.rounds;
-  prediction_.ack_round = ack_received_round;
-  for (const auto r : engine_first_data) {
-    prediction_.completion_round = std::max(prediction_.completion_round, r);
-  }
-  prediction_.all_informed = true;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != source_ && core.first_data[v] == 0) {
-      prediction_.all_informed = false;
-    }
-  }
-  exec_ = std::move(builder.exec);
-}
-
-ReplayResult CompiledAckRunner::run(sim::TraceLevel level) {
-  ReplayResult out = replay_execution(exec_, graph_.node_count(), *backend_,
-                                      resolution_, level);
-  out.all_informed = prediction_.all_informed;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // B_arb (§4)
 
 CompiledArbRunner::CompiledArbRunner(const Graph& g,
@@ -499,7 +295,8 @@ CompiledArbRunner::CompiledArbRunner(const Graph& g,
 
   bool phase3_scheduled = false;
   std::uint64_t phase2_start = 0, phase3_start = 0, source_ack_round = 0;
-  // Engine-level first-data accounting, as in CompiledAckRunner.
+  // Engine-level first-data accounting: every kData delivery counts,
+  // including to the source and to already-informed nodes.
   std::vector<std::uint8_t> engine_has_data(n, 0);
 
   RoundAgenda agenda(n);

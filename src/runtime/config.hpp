@@ -30,15 +30,15 @@ struct ExecutionConfig {
   /// Engines run single-threaded and executors size their own pools, so a
   /// spec's value changes nothing; the field stays for wire compatibility.
   std::size_t threads = 0;
-  /// Prefer the compiled label-determined replay when the scheme has one
-  /// for the spec's options (`Scheme::compiles`); other specs run on the
-  /// engine.
+  /// Answer from the scheme's compiled entry when it has one for the spec's
+  /// options (`Scheme::compiles`): the cached result of one execution, so
+  /// a spec with a cached key costs a copy.  Other specs run on the engine.
   bool compiled = false;
   /// Collision-detection mode.  Schemes that require it (beep) force it on
   /// regardless of this setting.
   bool collision_detection = false;
   /// Ground-truth recording level for the engine path; `kFull` also makes
-  /// compiled replays materialize their trace.
+  /// compiled replays re-run the execution for its trace.
   sim::TraceLevel trace = sim::TraceLevel::kCounters;
   /// Engine round budget (0 = the scheme's own default, linear in n).
   std::uint64_t max_rounds = 0;

@@ -12,7 +12,7 @@
 ///   make_protocols(...)   the distributed half; one sim::Protocol per node
 ///   make_population(...)  optional: the same half as one flat population
 ///   compile(...)          optional: the label-determined execution's
-///                         observables, predicted without an engine
+///                         observables, computed once and cached
 ///                         (Lemma 2.8 and friends)
 ///   verify(trace)         optional: check a recorded execution against the
 ///                         paper's per-round characterization
@@ -78,8 +78,8 @@ struct Plan {
 };
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// The predicted observables of a label-determined execution, cacheable per
-/// (graph, scheme, source); a full-trace replay re-derives the execution.
+/// The observables of a label-determined execution, cacheable per (graph,
+/// scheme, source); a full-trace replay re-derives the execution.
 struct CompiledPlan {
   virtual ~CompiledPlan() = default;
 
@@ -133,12 +133,12 @@ class Scheme {
   /// `run_scheme` forces the engine signal on for such schemes.
   virtual bool needs_collision_detection() const noexcept { return false; }
 
-  /// True iff `compile` lowers the execution to a replayable CompiledPlan.
+  /// True iff the scheme has a compiled path (`compile` / `replay`).
   virtual bool can_compile() const noexcept { return false; }
 
-  /// True iff `compile` lowers executions under `opt` (a `can_compile()`
-  /// scheme may exclude options its replay cannot model).  Default:
-  /// `can_compile()`.
+  /// True iff `compile` serves executions under `opt` (a `can_compile()`
+  /// scheme may exclude options its compiled entry cannot model).
+  /// Default: `can_compile()`.
   virtual bool compiles(const SchemeOptions& opt) const noexcept {
     (void)opt;
     return can_compile();
@@ -209,8 +209,7 @@ class Scheme {
 
   /// Extracts the scheme observables once the engine stopped.  `out` arrives
   /// with the execution-generic fields (rounds, tx_total, max_node_tx,
-  /// polls, all_informed) filled; `config` tells the scheme whether a full
-  /// trace was recorded (trace-derived counters are only exact then).
+  /// polls, all_informed) filled; `config` is the run's configuration.
   virtual void collect(const sim::Engine& engine, const Graph& g,
                        NodeId source, const Plan& plan,
                        const SchemeOptions& opt, const ExecutionConfig& config,
@@ -221,16 +220,19 @@ class Scheme {
   virtual bool run_trivial(const Graph& g, NodeId source, const Plan& plan,
                            const SchemeOptions& opt, SchemeResult& out) const;
 
-  /// Predicts the label-determined execution's observables (only where
-  /// `compiles(opt)`; never nullptr there).  Takes the plan by shared
-  /// pointer so the compiled plan can retain it for full-trace replays.
+  /// The label-determined execution's observables, computed once (only
+  /// where `compiles(opt)`; never nullptr there): b and ack cache one
+  /// fault-free engine run, arb runs its flat predictor.  Takes the plan by
+  /// shared pointer so the compiled plan can retain it for full-trace
+  /// replays.
   virtual CompiledPlanPtr compile(const Graph& g, NodeId source,
                                   const PlanPtr& plan,
                                   const SchemeOptions& opt,
                                   const ExecutionConfig& config) const;
 
-  /// Result of a compiled plan: the precomputed observables, plus a real
-  /// replay (for the trace) when `config.trace` is kFull.
+  /// Result of a compiled plan: a copy of the cached observables (`polls`
+  /// 0), plus the trace of a re-run execution when `config.trace` is
+  /// kFull.
   virtual SchemeResult replay(const Graph& g, NodeId source,
                               const CompiledPlan& compiled,
                               const ExecutionConfig& config) const;

@@ -73,8 +73,8 @@ constexpr std::uint8_t kTagResult = 0x52;    // 'R': CompiledResult
 
 /// A λ_ack or λ_arb plan as the paper ships it: one label per node plus the
 /// scalars that name the construction.  The stage sets are never kept;
-/// `staged_labeling` rebuilds them through the labeler for the two
-/// consumers that read them (b's schedule prediction and Lemma 2.8).
+/// `rebuild_labeling` rebuilds them through the labeler for the one
+/// consumer that reads them (b's Lemma 2.8 check).
 struct LabelPlan final : Plan {
   std::vector<core::Label> labels;
   NodeId anchor = graph::kNoNode;  ///< λ_ack: the source; λ_arb: r
@@ -122,14 +122,6 @@ PlanPtr make_label_plan(const Graph& g, NodeId anchor,
 /// seed), and `test_labeling_golden` pins it.
 core::Labeling rebuild_labeling(const Graph& g, const LabelPlan& p) {
   return core::label_acknowledged(g, p.anchor, {p.policy, p.seed});
-}
-
-/// `rebuild_labeling`, required to reproduce the plan's labels.
-core::Labeling staged_labeling(const Graph& g, const LabelPlan& p) {
-  core::Labeling labeling = rebuild_labeling(g, p);
-  RC_EXPECTS_MSG(labeling.labels == p.labels,
-                 "plan labels differ from the labeler's output");
-  return labeling;
 }
 
 /// True iff `p` is a labeling λ_ack (or, with `arb`, λ_arb) can produce:
@@ -270,8 +262,9 @@ bool decode_result(ByteReader& in, SchemeResult& r) {
 }
 
 /// A compiled b / ack / arb entry: the observables of the label-determined
-/// execution, plus the plan and µ a kFull replay re-runs the predictor
-/// from.  The predicted execution itself is never kept.
+/// execution, plus the plan and µ a kFull replay re-runs it from (on the
+/// engine for b and ack, through B_arb's predictor for arb).  The
+/// execution itself is never kept.
 struct CompiledResult final : CompiledPlan {
   PlanPtr plan;
   std::uint32_t mu = 0;
@@ -311,10 +304,41 @@ std::uint64_t round_cap(const Graph& g, const ExecutionConfig& config,
 }
 
 /// Shared base of the schemes whose plan is a LabelPlan: the packed plan
-/// codec and the result-only compiled codec.
+/// codec, the result-only compiled codec, and the memo that compiles b and
+/// ack.
 class LabelPlanScheme : public Scheme {
  public:
   bool can_store_plans() const noexcept override { return true; }
+
+  /// The labels determine the execution (Lemma 2.8, Theorem 3.9), so a
+  /// compiled entry is the result of one fault-free engine run.  A replay
+  /// polls no node.
+  CompiledPlanPtr compile(const Graph& g, NodeId source, const PlanPtr& plan,
+                          const SchemeOptions& opt,
+                          const ExecutionConfig& config) const override {
+    RC_EXPECTS_MSG(compiles(opt), "these options run on the engine");
+    const auto cfg = engine_config(config, sim::TraceLevel::kCounters);
+    auto out = compiled_result(plan, opt.mu);
+    out->result = run_with_plan(*this, g, source, plan, opt, cfg);
+    out->result.polls = 0;
+    return out;
+  }
+
+  /// The cached result; at kFull with the trace of one engine run on the
+  /// entry's plan and µ.
+  SchemeResult replay(const Graph& g, NodeId source,
+                      const CompiledPlan& compiled,
+                      const ExecutionConfig& config) const override {
+    const auto& c = static_cast<const CompiledResult&>(compiled);
+    SchemeResult out = c.result;
+    if (config.trace == sim::TraceLevel::kFull) {
+      SchemeOptions opt;
+      opt.mu = c.mu;
+      const auto cfg = engine_config(config, sim::TraceLevel::kFull);
+      out.trace = run_with_plan(*this, g, source, c.plan, opt, cfg).trace;
+    }
+    return out;
+  }
 
   void encode_plan(const Plan& plan, ByteWriter& out) const override {
     encode_label_plan(tag(), plan, out);
@@ -348,6 +372,17 @@ class LabelPlanScheme : public Scheme {
 
  protected:
   virtual std::uint8_t tag() const noexcept { return kTagLabeling; }
+
+ private:
+  /// `config` for the memo's engine runs: not compiled (else `compile`
+  /// would recurse) and fault-free (the model a compiled entry answers).
+  static ExecutionConfig engine_config(ExecutionConfig config,
+                                       sim::TraceLevel trace) {
+    config.compiled = false;
+    config.faults = {};
+    config.trace = trace;
+    return config;
+  }
 };
 
 /// The λ_ack family: one λ_ack construction serves B, B_ack, common-round
@@ -408,25 +443,16 @@ class BScheme final : public AckFamilyScheme {
   }
 
   void collect(const sim::Engine& e, const Graph& g, NodeId, const Plan& plan,
-               const SchemeOptions&, const ExecutionConfig& config,
+               const SchemeOptions&, const ExecutionConfig&,
                SchemeResult& out) const override {
     out.ok = out.all_informed;
     out.completion_round = e.last_first_data_reception();
     out.bound = theorem_bound(g.node_count());
     out.ell = label_plan(plan, g).ell;
     out.label_bits = 2;
-    if (config.trace == sim::TraceLevel::kFull) {
-      out.stay_count = e.trace().count_transmissions(sim::MsgKind::kStay);
-      out.data_tx_count = e.trace().count_transmissions(sim::MsgKind::kData);
-    }
+    out.stay_count = e.transmissions(sim::MsgKind::kStay);
+    out.data_tx_count = e.transmissions(sim::MsgKind::kData);
   }
-
-  CompiledPlanPtr compile(const Graph& g, NodeId, const PlanPtr& plan,
-                          const SchemeOptions& opt,
-                          const ExecutionConfig& config) const override;
-  SchemeResult replay(const Graph& g, NodeId source,
-                      const CompiledPlan& compiled,
-                      const ExecutionConfig& config) const override;
 
   /// Lemma 2.8 against the stage sets rebuilt from the plan.
   std::string verify(const Graph& g, NodeId, const Plan& plan,
@@ -440,54 +466,6 @@ class BScheme final : public AckFamilyScheme {
   }
 };
 
-CompiledPlanPtr BScheme::compile(const Graph& g, NodeId, const PlanPtr& plan,
-                                 const SchemeOptions& opt,
-                                 const ExecutionConfig& config) const {
-  const LabelPlan& p = label_plan(*plan, g);
-  auto out = compiled_result(plan, opt.mu);
-  SchemeResult& r = out->result;
-  r.bound = theorem_bound(g.node_count());
-  r.ell = p.ell;
-  r.label_bits = 2;
-  if (g.node_count() == 1) {
-    r.ok = r.all_informed = true;
-    return out;
-  }
-  core::CompiledScheduleRunner runner(g, staged_labeling(g, p), opt.mu,
-                                      config.backend);
-  const auto replay = runner.run();
-  r.ok = r.all_informed = replay.all_informed;
-  r.rounds = replay.rounds;
-  r.completion_round = replay.completion_round;
-  r.tx_total = replay.tx_total;
-  r.max_node_tx =
-      *std::max_element(replay.tx_count.begin(), replay.tx_count.end());
-  // Stay/data splits are exact from the schedule shape (odd rounds carry µ).
-  const auto& compiled = runner.schedule();
-  for (std::uint64_t round = 1; round <= compiled.rounds; ++round) {
-    const auto tx = compiled.round_transmitters(round).size();
-    if (core::CompiledSchedule::is_data_round(round)) {
-      r.data_tx_count += tx;
-    } else {
-      r.stay_count += tx;
-    }
-  }
-  return out;
-}
-
-SchemeResult BScheme::replay(const Graph& g, NodeId,
-                             const CompiledPlan& compiled,
-                             const ExecutionConfig& config) const {
-  const auto& c = static_cast<const CompiledResult&>(compiled);
-  SchemeResult out = c.result;
-  if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    core::CompiledScheduleRunner runner(
-        g, staged_labeling(g, label_plan(*c.plan, g)), c.mu, config.backend);
-    out.trace = runner.run(sim::TraceLevel::kFull).trace;
-  }
-  return out;
-}
-
 /// Algorithm B_ack (Theorem 3.9): 3-bit labels, z-initiated ack chain.
 class AckScheme final : public AckFamilyScheme {
  public:
@@ -497,8 +475,8 @@ class AckScheme final : public AckFamilyScheme {
            "(Theorem 3.9)";
   }
   bool can_compile() const noexcept override { return true; }
-  /// Resilient retries depend on runtime receptions, which a
-  /// label-determined replay cannot predict; they run on the engine.
+  /// Resilient retries are for lossy runs, which a compiled entry (one
+  /// fault-free run) does not model; they run on the engine.
   bool compiles(const SchemeOptions& opt) const noexcept override {
     return !opt.resilient;
   }
@@ -553,13 +531,6 @@ class AckScheme final : public AckFamilyScheme {
     out.label_bits = 3;
   }
 
-  CompiledPlanPtr compile(const Graph& g, NodeId, const PlanPtr& plan,
-                          const SchemeOptions& opt,
-                          const ExecutionConfig& config) const override;
-  SchemeResult replay(const Graph& g, NodeId source,
-                      const CompiledPlan& compiled,
-                      const ExecutionConfig& config) const override;
-
  private:
   static constexpr std::uint64_t kBudgetFactor = 6;
 
@@ -569,50 +540,6 @@ class AckScheme final : public AckFamilyScheme {
     return protocol_at<core::AckBroadcastProtocol>(e, source).ack_round();
   }
 };
-
-CompiledPlanPtr AckScheme::compile(const Graph& g, NodeId,
-                                   const PlanPtr& plan,
-                                   const SchemeOptions& opt,
-                                   const ExecutionConfig& config) const {
-  RC_EXPECTS_MSG(compiles(opt), "resilient B_ack runs on the engine");
-  const LabelPlan& p = label_plan(*plan, g);
-  auto out = compiled_result(plan, opt.mu);
-  SchemeResult& r = out->result;
-  r.bound = theorem_bound(g.node_count());
-  r.ell = p.ell;
-  r.special = p.z;
-  r.label_bits = 3;
-  if (g.node_count() == 1) {
-    r.ok = r.all_informed = true;
-    return out;
-  }
-  const core::CompiledAckRunner runner(g, p.labels, p.anchor, opt.mu,
-                                       config.backend,
-                                       round_cap(g, config, kBudgetFactor));
-  const auto& prediction = runner.prediction();
-  r.all_informed = prediction.all_informed;
-  r.rounds = prediction.rounds;
-  r.completion_round = prediction.completion_round;
-  r.ack_round = prediction.ack_round;
-  r.ok = prediction.all_informed && prediction.ack_round != 0;
-  r.max_stamp = prediction.max_stamp;
-  count_transmissions(runner.execution(), g.node_count(), r);
-  return out;
-}
-
-SchemeResult AckScheme::replay(const Graph& g, NodeId,
-                               const CompiledPlan& compiled,
-                               const ExecutionConfig& config) const {
-  const auto& c = static_cast<const CompiledResult&>(compiled);
-  SchemeResult out = c.result;
-  if (config.trace == sim::TraceLevel::kFull && g.node_count() > 1) {
-    const LabelPlan& p = label_plan(*c.plan, g);
-    core::CompiledAckRunner runner(g, p.labels, p.anchor, c.mu, config.backend,
-                                   round_cap(g, config, kBudgetFactor));
-    out.trace = runner.run(sim::TraceLevel::kFull).trace;
-  }
-  return out;
-}
 
 /// §3 closing construction: all nodes agree on the common round 2m.
 class CommonRoundScheme final : public AckFamilyScheme {

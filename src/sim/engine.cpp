@@ -158,6 +158,7 @@ bool Engine::step() {
   }
   for (const auto& [t, msg] : decisions_) {
     tx_ids_.push_back(t);
+    ++tx_by_kind_[static_cast<std::size_t>(msg.kind)];
     if (msg.stamp && *msg.stamp > max_stamp_) max_stamp_ = *msg.stamp;
   }
 

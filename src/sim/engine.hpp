@@ -35,6 +35,7 @@
 /// traces, `rx_count` and the fault counters keep their full meaning.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -140,6 +141,11 @@ class Engine {
   /// Total transmissions so far (all kinds).
   std::uint64_t transmissions_total() const noexcept { return tx_total_; }
 
+  /// Transmissions of `kind` so far.  Maintained at every trace level.
+  std::uint64_t transmissions(MsgKind kind) const noexcept {
+    return tx_by_kind_[static_cast<std::size_t>(kind)];
+  }
+
   /// Total node polls issued so far — the dispatch-cost observable the
   /// active-set strategy minimizes (kScan pays n per round).
   std::uint64_t polls_total() const noexcept { return polls_total_; }
@@ -226,6 +232,9 @@ class Engine {
 
   std::uint64_t round_ = 0;
   std::uint64_t tx_total_ = 0;
+  /// One transmission count per MsgKind (kReady is the last kind).
+  std::array<std::uint64_t, static_cast<std::size_t>(MsgKind::kReady) + 1>
+      tx_by_kind_{};
   std::uint64_t polls_total_ = 0;
   std::uint64_t silent_streak_ = 0;
   std::uint64_t max_stamp_ = 0;

@@ -61,14 +61,4 @@ std::vector<std::pair<std::uint64_t, Message>> Trace::deliveries_at(
   return out;
 }
 
-std::uint64_t Trace::count_transmissions(MsgKind kind) const {
-  std::uint64_t count = 0;
-  for (const auto& r : rounds_) {
-    for (const auto& [node, msg] : r.transmissions) {
-      if (msg.kind == kind) ++count;
-    }
-  }
-  return count;
-}
-
 }  // namespace radiocast::sim

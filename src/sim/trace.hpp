@@ -46,9 +46,6 @@ class Trace {
   /// All (round, message) deliveries at `v`.
   std::vector<std::pair<std::uint64_t, Message>> deliveries_at(NodeId v) const;
 
-  /// Total number of transmissions of a given kind across the execution.
-  std::uint64_t count_transmissions(MsgKind kind) const;
-
  private:
   std::vector<RoundRecord> rounds_;
 };

@@ -1,11 +1,11 @@
 // Differential tests for the pluggable engine backends: the scalar CSR walk,
 // the bit-parallel dense stepper (and the graph-resident bitmap it borrows),
-// and the compiled schedule replays (Lemma 2.8 for B, the stamped-chain
-// predictions for B_ack and B_arb) must be bit-exact — identical per-round
-// traces (transmissions, deliveries, collisions), identical first-data
-// receptions, ack rounds, tx/rx counters, and stamp accounting — on
-// randomized graphs, with and without collision detection (paper §1.1: hear
-// iff exactly one neighbour transmits; transmitters hear nothing).
+// and the compiled paths (the memoized engine run for B and B_ack, the
+// stamped-chain prediction for B_arb) must be bit-exact — identical
+// per-round traces (transmissions, deliveries, collisions), identical
+// first-data receptions, ack rounds, tx/rx counters, and stamp accounting —
+// on randomized graphs, with and without collision detection (paper §1.1:
+// hear iff exactly one neighbour transmits; transmitters hear nothing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 
 #include "core/arb.hpp"
 #include "core/compiled_schedule.hpp"
-#include "core/schedule.hpp"
 #include "graph/bit_adjacency.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scheme.hpp"
@@ -396,7 +395,8 @@ TEST(BackendDifferential, AutoBroadcastPastBitmapCapMatchesCompiled) {
   const Graph g = graph::sparse_gnp_connected(70000, 6.0, rng);
   ASSERT_EQ(sim::choose_backend(g, sim::BackendKind::kAuto),
             sim::BackendKind::kScalar);
-  // The engine run reads its data/stay counts off the trace.
+  // A full-trace engine run resolves every node; the compiled entry memoizes
+  // a listening-masked counters run.
   const ExecutionConfig traced{.trace = sim::TraceLevel::kFull};
   const auto engine = runtime::run_scheme("b", g, 0, {}, traced);
   EXPECT_TRUE(engine.all_informed);
@@ -411,8 +411,9 @@ TEST(BackendDifferential, AutoBroadcastPastBitmapCapMatchesCompiled) {
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm B: scalar engine vs bit engine vs compiled-schedule replay on
-// 110 randomized graphs — traces, informed rounds, and counters.
+// Algorithm B: scalar engine vs bit engine on 110 randomized graphs —
+// traces, informed rounds, and counters.  b's compiled path is one engine
+// run, pinned to it by SchemeDifferential.CompiledReplayMatchesEngineTrace.
 
 TEST(BackendDifferential, BroadcastScalarVsBitVsCompiled) {
   const auto graphs = random_graphs(110, 0xF00D);
@@ -437,26 +438,6 @@ TEST(BackendDifferential, BroadcastScalarVsBitVsCompiled) {
     const std::string what = "graph " + std::to_string(i) + " " + g.summary();
     ASSERT_TRUE(scalar.all_informed()) << what;
     expect_engines_equal(scalar, bit, what);
-
-    // The compiled replay covers exactly the rounds the engine executed.
-    core::CompiledScheduleRunner compiled(g, labeling, mu,
-                                          sim::BackendKind::kAuto);
-    const auto replay = compiled.run(sim::TraceLevel::kFull);
-    EXPECT_TRUE(replay.all_informed) << what;
-    EXPECT_EQ(replay.rounds, scalar.round()) << what;
-    EXPECT_EQ(replay.completion_round, scalar.last_first_data_reception())
-        << what;
-    EXPECT_EQ(replay.tx_total, scalar.transmissions_total()) << what;
-    EXPECT_EQ(replay.max_stamp, scalar.max_stamp_seen()) << what;
-    for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(replay.first_data[v], scalar.first_data_reception(v))
-          << what << " node " << v;
-      EXPECT_EQ(replay.tx_count[v], scalar.tx_count(v))
-          << what << " node " << v;
-      EXPECT_EQ(replay.rx_count[v], scalar.rx_count(v))
-          << what << " node " << v;
-    }
-    expect_traces_equal(replay.trace, scalar.trace(), what + " (compiled)");
   }
 }
 
@@ -520,10 +501,9 @@ TEST(BackendDifferential, OneBitRunnerAgreesAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled B_ack replay: the flat label/stamp prediction must reproduce the
-// engine + AckBroadcastProtocol execution round for round — transmissions
-// (including the z-initiated ack chain), deliveries, collisions, informed
-// rounds, ack rounds, and tx/rx/stamp counters.
+// A compiled replay must reproduce the engine execution round for round —
+// transmissions, deliveries, collisions, informed rounds, and tx/rx/stamp
+// counters.
 
 void expect_replay_matches_engine(const core::ReplayResult& replay,
                                   const sim::Engine& engine,
@@ -552,40 +532,6 @@ std::vector<Graph> replay_graphs(std::size_t small, std::size_t multiword,
     graphs.push_back(std::move(g));
   }
   return graphs;
-}
-
-TEST(CompiledAck, ReplayMatchesEngineOnRandomGraphs) {
-  const auto graphs = replay_graphs(40, 8, 0xAC4);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const Graph& g = graphs[i];
-    const auto n = g.node_count();
-    if (n < 2) continue;
-    const NodeId source = static_cast<NodeId>(i % n);
-    const std::uint32_t mu = 77;
-    const auto labeling = core::label_acknowledged(g, source);
-
-    sim::Engine engine(g, core::make_ack_protocols(labeling, mu),
-                       {sim::TraceLevel::kFull, false,
-                        sim::BackendKind::kScalar});
-    auto& src =
-        dynamic_cast<core::AckBroadcastProtocol&>(engine.protocol(source));
-    const auto max_rounds = core::default_round_budget(n, 6);
-    engine.run_until(
-        [&src](const sim::Engine&) { return src.ack_round() != 0; },
-        max_rounds);
-
-    core::CompiledAckRunner compiled(g, labeling.labels, source, mu);
-    const auto replay = compiled.run(sim::TraceLevel::kFull);
-    const std::string what =
-        "graph " + std::to_string(i) + " " + g.summary() + " (compiled ack)";
-    EXPECT_EQ(compiled.prediction().ack_round, src.ack_round()) << what;
-    EXPECT_EQ(compiled.prediction().all_informed, engine.all_informed())
-        << what;
-    EXPECT_EQ(compiled.prediction().completion_round,
-              engine.last_first_data_reception())
-        << what;
-    expect_replay_matches_engine(replay, engine, what);
-  }
 }
 
 TEST(CompiledAck, RunnerAgreesWithEngineRunner) {
@@ -685,61 +631,6 @@ TEST(CompiledArb, RunnerAgreesWithEngineRunner) {
     EXPECT_EQ(compiled_run.T, engine_run.T) << what;
     EXPECT_EQ(compiled_run.special, engine_run.special) << what;
   }
-}
-
-// Compiled replays must also hold up when resolved by the bit backend.
-TEST(CompiledAck, ReplayBackendIndependence) {
-  Rng rng(31);
-  const Graph g = graph::gnp_connected(70, 0.3, rng);
-  const auto labeling = core::label_acknowledged(g, 0);
-  core::CompiledAckRunner scalar(g, labeling.labels, 0, 7,
-                                 sim::BackendKind::kScalar);
-  core::CompiledAckRunner bit(g, labeling.labels, 0, 7, sim::BackendKind::kBit);
-  ASSERT_EQ(bit.backend_kind(), sim::BackendKind::kBit);
-  const auto a = scalar.run(sim::TraceLevel::kFull);
-  const auto b = bit.run(sim::TraceLevel::kFull);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.tx_total, b.tx_total);
-  EXPECT_EQ(a.max_stamp, b.max_stamp);
-  EXPECT_EQ(a.first_data, b.first_data);
-  EXPECT_EQ(a.tx_count, b.tx_count);
-  EXPECT_EQ(a.rx_count, b.rx_count);
-  expect_traces_equal(a.trace, b.trace, "compiled ack backend independence");
-}
-
-// ---------------------------------------------------------------------------
-// Compiled schedule structure
-
-TEST(CompiledSchedule, LowersPredictedRoundsFaithfully) {
-  Rng rng(3);
-  const Graph g = graph::gnp_connected(24, 0.25, rng);
-  const auto labeling = core::label_broadcast(g, 0);
-  const auto predicted = core::predict_schedule(g, labeling);
-  const auto compiled = core::compile_schedule(predicted);
-
-  EXPECT_EQ(compiled.rounds, predicted.completion_round);
-  EXPECT_EQ(compiled.completion_round, predicted.completion_round);
-  for (const auto& planned : predicted.rounds) {
-    if (planned.round > compiled.rounds) continue;
-    const auto tx = compiled.round_transmitters(planned.round);
-    ASSERT_EQ(tx.size(), planned.transmitters.size()) << planned.round;
-    for (std::size_t k = 0; k < tx.size(); ++k) {
-      EXPECT_EQ(tx[k], planned.transmitters[k]) << planned.round;
-    }
-    EXPECT_EQ(core::CompiledSchedule::is_data_round(planned.round),
-              planned.is_data)
-        << planned.round;
-  }
-}
-
-TEST(CompiledSchedule, SingleNodeGraphReplaysTrivially) {
-  const Graph g = graph::path(1);
-  const auto labeling = core::label_broadcast(g, 0);
-  core::CompiledScheduleRunner runner(g, labeling, 7);
-  const auto replay = runner.run();
-  EXPECT_TRUE(replay.all_informed);
-  EXPECT_EQ(replay.rounds, 0u);
-  EXPECT_EQ(replay.tx_total, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -534,10 +534,7 @@ std::uint64_t expect_masked_run_is_full_run(const Scheme& scheme,
   const auto a = run_recording(scheme, g, source, opt, plan, config, masked);
   config.trace = sim::TraceLevel::kFull;
   auto b = run_recording(scheme, g, source, opt, plan, config, full);
-  // B's stay and µ counts are read off the trace, which only the full run
-  // records.
   b.trace = {};
-  b.stay_count = b.data_tx_count = 0;
   EXPECT_TRUE(a.ok) << what;
   expect_same_run(a, b, what, /*same_dispatch=*/true);
   EXPECT_EQ(masked.first_data, full.first_data) << what;

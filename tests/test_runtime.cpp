@@ -3,7 +3,9 @@
 //    scheme uniformly across engine backends (scalar/bit), dispatch
 //    strategies (scan/active-set), and ± collision detection, asserting
 //    full trace equality against the scalar × scan oracle;
-//  - compiled-replay trace equality for the label-determined schemes;
+//  - compiled-path trace equality for the label-determined schemes, and
+//    every result field for b and ack, whose compiled entry is a memoized
+//    engine run;
 //  - b on the shared λ_ack plan against B on a λ labeling;
 //  - SweepRunner determinism (byte-identical batch output at 1, 2, and 8
 //    worker threads, workers sharing one resident bitmap on a dense graph,
@@ -159,10 +161,11 @@ TEST(SchemeDifferential, AllSchemesAgreeAcrossBackendsAndDispatch) {
 
 // The compiled fast paths must replay the exact engine execution, and both
 // paths report the same worst per-node duty cycle: the engine's maximum
-// per-node transmission count.
+// per-node transmission count.  b and ack answer from one memoized engine
+// run, so every result field matches, and a replay polls no node.
 TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
   const auto graphs = differential_graphs();
-  for (const char* name : {"b", "ack", "arb"}) {
+  for (const std::string name : {"b", "ack", "arb"}) {
     const auto* scheme = SchemeRegistry::instance().find(name);
     ASSERT_NE(scheme, nullptr);
     ASSERT_TRUE(scheme->can_compile());
@@ -175,17 +178,9 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
       const auto engine = runtime::run_scheme(*scheme, g, 0, {}, engine_cfg);
       const auto compiled =
           runtime::run_scheme(*scheme, g, 0, {}, compiled_cfg);
-      const std::string context =
-          std::string(name) + " graph#" + std::to_string(gi);
+      const std::string context = name + " graph#" + std::to_string(gi);
       EXPECT_EQ(engine.ok, compiled.ok) << context;
       EXPECT_EQ(engine.rounds, compiled.rounds) << context;
-      if (std::string(name) != "arb") {
-        // Compiled B_arb results still report completion round 0 (the
-        // prediction itself carries it; see test_engine_backends); B and
-        // B_ack predict it exactly.
-        EXPECT_EQ(engine.completion_round, compiled.completion_round)
-            << context;
-      }
       EXPECT_EQ(engine.ack_round, compiled.ack_round) << context;
       EXPECT_EQ(engine.done_round, compiled.done_round) << context;
       EXPECT_EQ(engine.tx_total, compiled.tx_total) << context;
@@ -194,6 +189,19 @@ TEST(SchemeDifferential, CompiledReplayMatchesEngineTrace) {
           << context;
       EXPECT_GT(engine.max_node_tx, 0u) << context;
       expect_trace_equal(engine.trace, compiled.trace, context);
+      // Compiled B_arb results still report completion round 0 (the
+      // prediction itself carries it; see test_engine_backends).
+      if (name == "arb") continue;
+      EXPECT_EQ(compiled.polls, 0u) << context;
+      SchemeResult want = engine;
+      want.polls = 0;
+      EXPECT_EQ(runtime::wire::encode_result(compiled),
+                runtime::wire::encode_result(want))
+          << context;
+      if (name == "b") {
+        const auto plan = scheme->label(g, 0, {});
+        EXPECT_EQ(scheme->verify(g, 0, *plan, compiled.trace), "") << context;
+      }
     }
   }
 }

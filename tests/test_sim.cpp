@@ -234,7 +234,8 @@ TEST(Trace, TransmitAndReceptionQueries) {
   ASSERT_TRUE(t.first_reception(2, MsgKind::kData).has_value());
   EXPECT_EQ(*t.first_reception(2, MsgKind::kData), 2u);
   EXPECT_FALSE(t.first_reception(2, MsgKind::kStay).has_value());
-  EXPECT_EQ(t.count_transmissions(MsgKind::kData), 3u);
+  EXPECT_EQ(e.transmissions(MsgKind::kData), 3u);
+  EXPECT_EQ(e.transmissions(MsgKind::kStay), 0u);
   EXPECT_EQ(t.transmitters(1), std::vector<NodeId>{0});
 }
 
